@@ -48,22 +48,14 @@ bool DecodeTask(Slice payload, Task* task) {
 }  // namespace
 
 SubgraphMatcher::SubgraphMatcher(graph::Graph* graph, Options options)
-    : graph_(graph), options_(std::move(options)) {
-  cloud::MemoryCloud* cloud = graph_->cloud();
-  num_slaves_ = cloud->num_slaves();
-  trunk_owner_.resize(cloud->table().num_slots());
-  for (int t = 0; t < cloud->table().num_slots(); ++t) {
-    trunk_owner_[t] = cloud->table().machine_of_trunk(t);
-  }
-}
+    : graph_(graph),
+      options_(std::move(options)),
+      owners_(graph->cloud()),
+      num_slaves_(graph->cloud()->num_slaves()) {}
 
 std::uint32_t SubgraphMatcher::LabelOf(CellId v) const {
   return static_cast<std::uint32_t>(Mix64(v ^ options_.label_seed) %
                                     options_.num_labels);
-}
-
-MachineId SubgraphMatcher::OwnerOf(CellId v) const {
-  return trunk_owner_[graph_->cloud()->TrunkOf(v)];
 }
 
 Status SubgraphMatcher::Match(const Pattern& pattern, Result* result) {
@@ -80,22 +72,22 @@ Status SubgraphMatcher::Match(const Pattern& pattern, Result* result) {
   }
   net::Fabric& fabric = graph_->cloud()->fabric();
   std::vector<std::deque<Task>> queues(num_slaves_);
+  const net::Fabric::HandlerLease lease(fabric);  // Handlers die with it.
   for (MachineId m = 0; m < num_slaves_; ++m) {
     fabric.RegisterAsyncHandler(
-        m, cloud::kSubgraphMatchHandler,
+        m, lease.id(),
         [m, &queues](MachineId, Slice payload) {
           Task task;
           if (DecodeTask(payload, &task)) queues[m].push_back(std::move(task));
         });
   }
   auto route = [&](MachineId src, const Task& task, CellId target_vertex) {
-    const MachineId dst = OwnerOf(target_vertex);
+    const MachineId dst = owners_.OwnerOf(target_vertex);
     if (dst == src) {
       queues[dst].push_back(task);
     } else {
       const std::string encoded = EncodeTask(task);
-      fabric.SendAsync(src, dst, cloud::kSubgraphMatchHandler,
-                       Slice(encoded));
+      fabric.SendAsync(src, dst, lease.id(), Slice(encoded));
     }
   };
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "compute/trunk_owners.h"
 #include "graph/graph.h"
 #include "net/cost_model.h"
 
@@ -90,7 +91,6 @@ class SubgraphMatcher {
     std::vector<CellId> matched;
   };
 
-  MachineId OwnerOf(CellId v) const;
   /// Extracts a pattern from concrete data-graph vertices.
   Pattern PatternFromVertices(const std::vector<CellId>& vertices);
   /// Collects a connected vertex set by exploration; used by both query
@@ -100,7 +100,7 @@ class SubgraphMatcher {
 
   graph::Graph* graph_;
   Options options_;
-  std::vector<MachineId> trunk_owner_;
+  compute::TrunkOwners owners_;
   std::vector<std::uint64_t> label_frequencies_;
   int num_slaves_;
 };

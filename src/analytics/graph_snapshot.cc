@@ -8,7 +8,7 @@
 
 #include "cloud/memory_cloud.h"
 #include "common/histogram.h"
-#include "compute/packed_messages.h"
+#include "compute/exchange.h"
 #include "net/fabric.h"
 
 namespace trinity::analytics {
@@ -157,9 +157,8 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
     }
   }
   std::vector<DegreeRecord> merged;
-  fabric.RegisterAsyncHandler(
-      coord, cloud::kSnapshotDegreeHandler,
-      [&merged](MachineId src, Slice payload) {
+  compute::Exchange degrees(
+      fabric, [&merged](MachineId, MachineId src, Slice payload) {
         compute::ForEachPackedRecord(payload, [&](CellId id, Slice deg) {
           if (deg.size() != 4) return;
           std::uint32_t d = 0;
@@ -168,24 +167,14 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
         });
       });
   for (MachineId m = 0; m < slaves; ++m) {
-    if (captured[m].empty()) continue;
-    if (m == coord) {
-      for (const CapturedNode& node : captured[m]) {
-        merged.push_back(
-            {node.id, static_cast<std::uint32_t>(node.neighbors.size()), m});
-      }
-      continue;
-    }
-    std::string buf;
     for (const CapturedNode& node : captured[m]) {
       const auto degree = static_cast<std::uint32_t>(node.neighbors.size());
-      compute::AppendPackedRecord(
-          &buf, node.id, Slice(reinterpret_cast<const char*>(&degree), 4));
+      degrees.Add(m, coord, node.id,
+                  Slice(reinterpret_cast<const char*>(&degree), 4));
     }
-    Status s = fabric.SendPacked(m, coord, cloud::kSnapshotDegreeHandler,
-                                 Slice(buf), captured[m].size());
-    if (!s.ok()) return s;
   }
+  Status s = degrees.Flush();
+  if (!s.ok()) return s;
   {
     // Coordinator: dedup (a cell captured twice keeps its first claimant)
     // and order by (degree desc, id asc) — the rank function.
@@ -207,16 +196,20 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
   }
   // Broadcast the table in rank order; every machine fills its global
   // tables from the arrival order of the records.
-  const auto fill_tables = [&merged](GraphSnapshot* view) {
-    view->id_by_rank.reserve(merged.size());
-    view->degree_by_rank.reserve(merged.size());
-    view->owner_by_rank.reserve(merged.size());
-    for (const DegreeRecord& rec : merged) {
-      view->id_by_rank.push_back(rec.id);
-      view->degree_by_rank.push_back(rec.degree);
-      view->owner_by_rank.push_back(rec.owner);
-    }
-  };
+  compute::Exchange ranks(
+      fabric, [views](MachineId m, MachineId, Slice payload) {
+        GraphSnapshot& view = (*views)[m];
+        compute::ForEachPackedRecord(payload, [&](CellId id, Slice rec) {
+          if (rec.size() != 8) return;
+          std::uint32_t degree = 0;
+          MachineId owner = kInvalidMachine;
+          std::memcpy(&degree, rec.data(), 4);
+          std::memcpy(&owner, rec.data() + 4, 4);
+          view.id_by_rank.push_back(id);
+          view.degree_by_rank.push_back(degree);
+          view.owner_by_rank.push_back(owner);
+        });
+      });
   std::string table_buf;
   {
     net::Fabric::MeterScope meter(fabric, coord);
@@ -230,27 +223,13 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
   for (MachineId m = 0; m < slaves; ++m) {
     GraphSnapshot& view = (*views)[m];
     view.machine = m;
-    if (m == coord) {
-      fill_tables(&view);
-      continue;
-    }
-    fabric.RegisterAsyncHandler(
-        m, cloud::kSnapshotRankHandler, [&view](MachineId, Slice payload) {
-          compute::ForEachPackedRecord(payload, [&](CellId id, Slice rec) {
-            if (rec.size() != 8) return;
-            std::uint32_t degree = 0;
-            MachineId owner = kInvalidMachine;
-            std::memcpy(&degree, rec.data(), 4);
-            std::memcpy(&owner, rec.data() + 4, 4);
-            view.id_by_rank.push_back(id);
-            view.degree_by_rank.push_back(degree);
-            view.owner_by_rank.push_back(owner);
-          });
-        });
-    Status s = fabric.SendPacked(coord, m, cloud::kSnapshotRankHandler,
-                                 Slice(table_buf), merged.size());
-    if (!s.ok()) return s;
+    view.id_by_rank.reserve(merged.size());
+    view.degree_by_rank.reserve(merged.size());
+    view.owner_by_rank.reserve(merged.size());
+    ranks.AddPacked(coord, m, Slice(table_buf), merged.size());
   }
+  s = ranks.Flush();
+  if (!s.ok()) return s;
   const net::NetworkStats after = fabric.stats();
   local_stats.exchange_bytes = after.bytes - before.bytes;
   local_stats.exchange_messages = after.messages - before.messages;
@@ -328,9 +307,8 @@ Status SnapshotBuilder::BuildGlobal(graph::Graph* graph, GraphSnapshot* out,
   // packed payload of [rank][len][ranks...] records.
   std::vector<std::vector<std::uint32_t>> lists(n);
   std::vector<bool> seen(n, false);
-  fabric.RegisterAsyncHandler(
-      client, cloud::kSnapshotAdjHandler,
-      [&lists, &seen, n](MachineId, Slice payload) {
+  compute::Exchange gather(
+      fabric, [&lists, &seen, n](MachineId, MachineId, Slice payload) {
         compute::ForEachPackedRecord(payload, [&](CellId rank, Slice body) {
           if (rank >= n || body.size() % 4 != 0) return;
           const auto r = static_cast<std::uint32_t>(rank);
@@ -343,20 +321,17 @@ Status SnapshotBuilder::BuildGlobal(graph::Graph* graph, GraphSnapshot* out,
         });
       });
   for (const GraphSnapshot& view : views) {
-    if (view.num_local() == 0) continue;
-    std::string buf;
     for (std::size_t i = 0; i < view.num_local(); ++i) {
       const std::span<const std::uint32_t> list = view.List(i);
       const Slice body =
           list.empty() ? Slice("")
                        : Slice(reinterpret_cast<const char*>(list.data()),
                                list.size() * 4);
-      compute::AppendPackedRecord(&buf, view.local_ranks[i], body);
+      gather.Add(view.machine, client, view.local_ranks[i], body);
     }
-    s = fabric.SendPacked(view.machine, client, cloud::kSnapshotAdjHandler,
-                          Slice(buf), view.num_local());
-    if (!s.ok()) return s;
   }
+  s = gather.Flush();
+  if (!s.ok()) return s;
 
   out->local_ranks.resize(n);
   out->local_index.resize(n);

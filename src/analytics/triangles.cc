@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <thread>
 #include <unordered_map>
 
 #include "analytics/intersect.h"
@@ -274,14 +273,7 @@ void CountView(const TriangleOptions& options, ThreadPool* pool,
 }  // namespace
 
 TriangleCounter::TriangleCounter(graph::Graph* graph, TriangleOptions options)
-    : graph_(graph), options_(options) {
-  int threads = options_.num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads < 1) threads = 1;
-  pool_ = std::make_unique<ThreadPool>(threads);
-}
+    : graph_(graph), options_(options), pool_(options_.num_threads) {}
 
 TriangleCounter::TriangleCounter(graph::Graph* graph)
     : TriangleCounter(graph, TriangleOptions()) {}
@@ -298,11 +290,13 @@ Status TriangleCounter::Count(const std::vector<GraphSnapshot>& views,
 
   // Boundary-list server: answers one pull per requesting machine with the
   // oriented lists of the ranks it asked for. Request: [u32 rank]*; response:
-  // packed [rank][len][ranks...] records.
+  // packed [rank][len][ranks...] records. The lease keeps the servers (and
+  // their pointers into `views`) registered only for this call.
+  const net::Fabric::HandlerLease lease(fabric);
   for (MachineId m = 0; m < slaves; ++m) {
     const GraphSnapshot* view = &views[m];
     fabric.RegisterSyncHandler(
-        m, cloud::kSnapshotAdjHandler,
+        m, lease.id(),
         [view](MachineId, Slice request, std::string* response) {
           if (request.size() % 4 != 0) {
             return Status::InvalidArgument("malformed boundary request");
@@ -357,8 +351,7 @@ Status TriangleCounter::Count(const std::vector<GraphSnapshot>& views,
         std::string request(per_owner[dst].size() * 4, '\0');
         std::memcpy(request.data(), per_owner[dst].data(), request.size());
         std::string response;
-        Status s = fabric.Call(m, dst, cloud::kSnapshotAdjHandler,
-                               Slice(request), &response);
+        Status s = fabric.Call(m, dst, lease.id(), Slice(request), &response);
         if (!s.ok()) return s;
         ++machine_stats.boundary_calls;
         machine_stats.boundary_bytes += request.size() + response.size();
@@ -384,7 +377,7 @@ Status TriangleCounter::Count(const std::vector<GraphSnapshot>& views,
     Stopwatch count_watch;
     {
       net::Fabric::MeterScope meter(fabric, m);
-      CountView(options_, pool_.get(), resolver, &machine_stats);
+      CountView(options_, &pool_, resolver, &machine_stats);
     }
     machine_stats.count_ms = count_watch.ElapsedMillis();
     out->Merge(machine_stats);
@@ -402,7 +395,7 @@ Status TriangleCounter::CountLocal(const GraphSnapshot& snapshot,
   ListResolver resolver;
   resolver.view = &snapshot;
   Stopwatch watch;
-  CountView(options_, pool_.get(), resolver, out);
+  CountView(options_, &pool_, resolver, out);
   out->count_ms = watch.ElapsedMillis();
   return Status::OK();
 }

@@ -2,7 +2,6 @@
 #define TRINITY_ANALYTICS_TRIANGLES_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "analytics/graph_snapshot.h"
@@ -112,7 +111,7 @@ class TriangleCounter {
  private:
   graph::Graph* graph_;
   const TriangleOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
+  ThreadPool pool_;
 };
 
 /// Cell-at-a-time correctness anchor: fetches every node cell through the

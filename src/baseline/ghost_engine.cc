@@ -1,6 +1,5 @@
 #include "baseline/ghost_engine.h"
 
-#include "cloud/memory_cloud.h"
 #include "common/histogram.h"
 #include "common/serializer.h"
 
@@ -63,9 +62,10 @@ Status GhostEngine::RunBfs(CellId start, BfsStats* stats) {
   // Incoming distance updates per machine (two-sided receives).
   std::vector<std::vector<std::pair<CellId, std::uint32_t>>> incoming(
       options_.num_machines);
+  const net::Fabric::HandlerLease lease(*fabric_);  // Handlers die with it.
   for (MachineId m = 0; m < options_.num_machines; ++m) {
     fabric_->RegisterAsyncHandler(
-        m, cloud::kGhostSyncHandler, [m, &incoming](MachineId, Slice payload) {
+        m, lease.id(), [m, &incoming](MachineId, Slice payload) {
           BinaryReader reader(payload);
           CellId vertex = 0;
           std::uint32_t dist = 0;
@@ -111,8 +111,7 @@ Status GhostEngine::RunBfs(CellId start, BfsStats* stats) {
             BinaryWriter writer;
             writer.PutU64(u);
             writer.PutU32(d + 1);
-            fabric_->SendAsync(m, owner, cloud::kGhostSyncHandler,
-                               Slice(writer.buffer()));
+            fabric_->SendAsync(m, owner, lease.id(), Slice(writer.buffer()));
           }
         }
       }

@@ -1,17 +1,17 @@
 #include "baseline/heap_engine.h"
 
-#include "cloud/memory_cloud.h"
 #include "common/histogram.h"
 #include "common/serializer.h"
 
 namespace trinity::baseline {
 
-HeapEngine::HeapEngine(Options options) : options_(std::move(options)) {
-  // Giraph's netty transport does aggregate buffers, so packing stays on;
-  // the envelope overhead per message is what differs.
-  fabric_ = std::make_unique<net::Fabric>(options_.num_machines);
-  machines_.resize(options_.num_machines);
-}
+// Giraph's netty transport does aggregate buffers, so packing stays on; the
+// envelope overhead per message is what differs.
+HeapEngine::HeapEngine(Options options)
+    : options_(std::move(options)),
+      fabric_(std::make_unique<net::Fabric>(options_.num_machines)),
+      lease_(*fabric_),
+      machines_(options_.num_machines) {}
 
 Status HeapEngine::LoadGraph(const graph::Generators::EdgeList& edges) {
   num_nodes_ = edges.num_nodes;
@@ -36,7 +36,7 @@ Status HeapEngine::RunPageRank(RunStats* stats) {
 
   for (MachineId m = 0; m < options_.num_machines; ++m) {
     fabric_->RegisterAsyncHandler(
-        m, cloud::kBspMessageHandler, [this, m](MachineId, Slice payload) {
+        m, lease_.id(), [this, m](MachineId, Slice payload) {
           BinaryReader reader(payload);
           CellId target = 0;
           double value = 0;
@@ -85,8 +85,7 @@ Status HeapEngine::RunPageRank(RunStats* stats) {
               it->second->inbox.push_back(std::make_unique<double>(share));
             }
           } else {
-            fabric_->SendAsync(m, owner, cloud::kBspMessageHandler,
-                               Slice(writer.buffer()));
+            fabric_->SendAsync(m, owner, lease_.id(), Slice(writer.buffer()));
           }
           ++stats->messages;
         }

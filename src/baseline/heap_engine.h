@@ -87,6 +87,8 @@ class HeapEngine {
 
   Options options_;
   std::unique_ptr<net::Fabric> fabric_;
+  /// The message handler id; its handlers capture `this`.
+  net::Fabric::HandlerLease lease_;
   std::vector<Machine> machines_;
   std::uint64_t num_nodes_ = 0;
   std::uint64_t num_edges_ = 0;

@@ -23,8 +23,10 @@
 
 namespace trinity::cloud {
 
-/// Handler-id ranges on the fabric. User/compute protocols must register at
-/// kUserHandlerBase or above.
+/// Fixed handler ids of the cloud's own protocols; TSL protocols register at
+/// kUserHandlerBase or above. Engines and algorithms take no fixed id: each
+/// instance leases its own (net::Fabric::HandlerLease), so two of a kind
+/// can share a cloud and no handler outlives its owner.
 enum CloudHandlerIds : net::HandlerId {
   kCellOpHandler = 1,        ///< Sync KV operation dispatch.
   kMultiGetHandler = 2,      ///< Batched read dispatch (MultiGet/Contains).
@@ -40,19 +42,6 @@ enum CloudHandlerIds : net::HandlerId {
   kReplicaInstallHandler = 56,  ///< Full trunk-image install (re-replication).
   kReplicaReadHandler = 57,     ///< Degraded read served by a replica trunk.
   kIsrShrinkHandler = 58,       ///< Leader-confirmed in-sync-set shrink.
-  // Compute-engine handlers (60..99).
-  kBspMessageHandler = 60,       ///< BSP vertex messages.
-  kTraversalExpandHandler = 61,  ///< Online traversal frontier expansion.
-  kAsyncUpdateHandler = 62,      ///< Asynchronous-engine update messages.
-  kSafraTokenHandler = 63,       ///< Safra termination-detection token.
-  kGhostSyncHandler = 64,        ///< PBGL-baseline ghost-cell refresh.
-  kSubgraphMatchHandler = 65,    ///< Embedding routing for subgraph match.
-  kRdfQueryHandler = 66,         ///< SPARQL-lite distributed scans.
-  // Analytics snapshot protocol (67..69): degree-ordered CSR build + the
-  // one-shot boundary-adjacency exchange for distributed triangle counting.
-  kSnapshotDegreeHandler = 67,   ///< (id, degree) gather to the coordinator.
-  kSnapshotRankHandler = 68,     ///< Rank-table broadcast from coordinator.
-  kSnapshotAdjHandler = 69,      ///< Boundary adjacency pull (sync, once/pair).
   kUserHandlerBase = 100,        ///< TSL protocols start here.
 };
 

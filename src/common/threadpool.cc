@@ -6,6 +6,9 @@
 namespace trinity {
 
 ThreadPool::ThreadPool(int num_threads) {
+  if (num_threads <= 0) {
+    num_threads = static_cast<int>(std::thread::hardware_concurrency());
+  }
   if (num_threads < 1) num_threads = 1;
   workers_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {

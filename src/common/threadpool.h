@@ -15,6 +15,7 @@ namespace trinity {
 /// barrier between supersteps.
 class ThreadPool {
  public:
+  /// num_threads <= 0 means one worker per hardware thread (at least one).
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 

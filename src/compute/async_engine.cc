@@ -1,7 +1,6 @@
 #include "compute/async_engine.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/serializer.h"
 
@@ -12,7 +11,26 @@ void AsyncEngine::Context::Send(CellId target, Slice message) {
 }
 
 AsyncEngine::AsyncEngine(graph::Graph* graph, Options options)
-    : graph_(graph), options_(std::move(options)) {
+    : graph_(graph),
+      options_(std::move(options)),
+      num_slaves_(graph->cloud()->num_slaves()),
+      machines_(num_slaves_),
+      owners_(graph->cloud()),
+      pool_(options_.num_threads),
+      exchange_(graph->cloud()->fabric(),
+                [this](MachineId dst, MachineId, Slice payload) {
+                  // One payload packs many updates. Each record makes the
+                  // machine black (Safra) and settles one unit of the
+                  // sender's deficit — before the scheduler coalesces or
+                  // epsilon-drops it, so retired messages count as settled
+                  // and never skew termination detection.
+                  ForEachPackedRecord(
+                      payload, [this, dst](CellId target, Slice message) {
+                        machines_[dst].black = true;
+                        --machines_[dst].deficit;
+                        EnqueueLocal(dst, target, message);
+                      });
+                }) {
   if (options_.scheduler != SchedulerMode::kFifo && !options_.combiner) {
     config_error_ = Status::InvalidArgument(
         "priority/sweep scheduling requires a combiner (delta cache)");
@@ -32,73 +50,12 @@ AsyncEngine::AsyncEngine(graph::Graph* graph, Options options)
     options_.priority = nullptr;
     options_.priority_epsilon = 0;
   }
-  cloud::MemoryCloud* cloud = graph_->cloud();
-  num_slaves_ = cloud->num_slaves();
-  machines_.resize(num_slaves_);
-  trunk_owner_.resize(cloud->table().num_slots());
-  owns_trunks_.assign(num_slaves_, false);
-  for (int t = 0; t < cloud->table().num_slots(); ++t) {
-    trunk_owner_[t] = cloud->table().machine_of_trunk(t);
-    if (trunk_owner_[t] >= 0 && trunk_owner_[t] < num_slaves_) {
-      owns_trunks_[trunk_owner_[t]] = true;
-    }
-  }
-  int threads = options_.num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads < 1) threads = 1;
-  pool_ = std::make_unique<ThreadPool>(threads);
   VertexScheduler::Options sched;
   sched.mode = options_.scheduler;
   sched.combiner = options_.combiner;
   sched.priority = options_.priority;
   sched.priority_epsilon = options_.priority_epsilon;
-  net::Fabric& fabric = cloud->fabric();
-  for (MachineId m = 0; m < num_slaves_; ++m) {
-    machines_[m].scheduler.Configure(sched);
-    machines_[m].outboxes.resize(num_slaves_);
-    fabric.RegisterAsyncHandler(
-        m, cloud::kAsyncUpdateHandler, [this, m](MachineId, Slice payload) {
-          // One payload packs many updates. Each record makes the machine
-          // black (Safra) and settles one unit of the sender's deficit —
-          // before the scheduler coalesces or epsilon-drops it, so retired
-          // messages count as settled and never skew termination detection.
-          ForEachPackedRecord(payload,
-                              [this, m](CellId target, Slice message) {
-                                machines_[m].black = true;
-                                --machines_[m].deficit;
-                                EnqueueLocal(m, target, message);
-                              });
-        });
-  }
-  // Discard updates stranded in the fabric's pair buffers by a previous
-  // engine's aborted run: they drain into the handlers just registered, and
-  // replaying that stale work would skew the Safra deficit counters. The
-  // scheduler Clear() covers the raw queue AND the delta cache / priority
-  // index / sweep cursor, so no stale delta survives into this run. This
-  // runs before Seed() so seeded updates are never touched.
-  fabric.FlushAll();
-  for (MachineState& state : machines_) {
-    state.scheduler.Clear();
-    state.deficit = 0;
-    state.black = false;
-  }
-}
-
-MachineId AsyncEngine::OwnerOf(CellId vertex) const {
-  return trunk_owner_[graph_->cloud()->TrunkOf(vertex)];
-}
-
-Status AsyncEngine::CheckClusterHealthy() const {
-  const net::Fabric& fabric = graph_->cloud()->fabric();
-  for (MachineId m = 0; m < num_slaves_; ++m) {
-    if (owns_trunks_[m] && !fabric.IsMachineUp(m)) {
-      return Status::Unavailable("machine " + std::to_string(m) +
-                                 " crashed during the async run");
-    }
-  }
-  return Status::OK();
+  for (MachineState& state : machines_) state.scheduler.Configure(sched);
 }
 
 void AsyncEngine::EnqueueLocal(MachineId machine, CellId target,
@@ -116,7 +73,7 @@ void AsyncEngine::EnqueueLocal(MachineId machine, CellId target,
 }
 
 void AsyncEngine::SendUpdate(MachineId src, CellId target, Slice message) {
-  const MachineId dst = OwnerOf(target);
+  const MachineId dst = owners_.OwnerOf(target);
   if (dst == src) {
     EnqueueLocal(dst, target, message);
     return;
@@ -125,26 +82,11 @@ void AsyncEngine::SendUpdate(MachineId src, CellId target, Slice message) {
   // deficit rises now and settles when the packed payload is unpacked on
   // the destination at the sweep barrier.
   ++machines_[src].deficit;
-  machines_[src].outboxes[dst].Add(target, message);
-}
-
-void AsyncEngine::FlushOutboxes() {
-  net::Fabric& fabric = graph_->cloud()->fabric();
-  for (MachineId src = 0; src < num_slaves_; ++src) {
-    for (MachineId dst = 0; dst < num_slaves_; ++dst) {
-      Outbox& outbox = machines_[src].outboxes[dst];
-      if (outbox.empty()) continue;
-      // A batch dropped on a dead endpoint is counted by the fabric; the
-      // next sweep's health check surfaces the crash itself.
-      fabric.SendPacked(src, dst, cloud::kAsyncUpdateHandler,
-                        Slice(outbox.bytes), outbox.count);
-      outbox.Clear();
-    }
-  }
+  exchange_.Add(src, dst, target, message);
 }
 
 Status AsyncEngine::Seed(CellId vertex, Slice message) {
-  const MachineId owner = OwnerOf(vertex);
+  const MachineId owner = owners_.OwnerOf(vertex);
   if (owner < 0 || owner >= num_slaves_) {
     return Status::NotFound("vertex unroutable");
   }
@@ -202,7 +144,7 @@ Status AsyncEngine::RunLoop(const Handler& handler, RunStats* stats) {
     // A crashed machine's local visits degrade to NotFound (its storage is
     // gone), which the update loop tolerates for individual vertices — so
     // detect the crash itself here, once per scheduling sweep.
-    Status healthy = CheckClusterHealthy();
+    Status healthy = owners_.CheckHealthy("async run");
     if (!healthy.ok()) return healthy;
     // Per-update max_updates enforcement: carve this sweep's per-machine
     // budgets out of the remaining allowance serially (machine 0 first) so
@@ -234,9 +176,9 @@ Status AsyncEngine::RunLoop(const Handler& handler, RunStats* stats) {
     }
     // Parallel scheduling sweep: every machine drains up to its budget from
     // its own scheduler on a pool worker. Workers touch only their
-    // machine's state and outboxes, so the sweep is lock-free; the
+    // machine's state and outbox row, so the sweep is lock-free; the
     // ParallelFor join is the sweep barrier.
-    pool_->ParallelFor(num_slaves_, [&](int mi) {
+    pool_.ParallelFor(num_slaves_, [&](int mi) {
       const MachineId m = mi;
       MachineState& state = machines_[m];
       state.sweep_status = Status::OK();
@@ -274,8 +216,9 @@ Status AsyncEngine::RunLoop(const Handler& handler, RunStats* stats) {
     }
     if (!failure.ok()) return failure;
     // Asynchronous delivery: drain the packed outboxes, then anything the
-    // fabric still buffers.
-    FlushOutboxes();
+    // fabric still buffers. A batch dropped on a dead endpoint is counted
+    // by the fabric; the next sweep's health check surfaces the crash.
+    exchange_.Flush();
     fabric.FlushAll();
     // The safety valve fires only when the limit is spent AND work remains
     // (all in-flight messages just drained into the schedulers, so scheduler
@@ -347,7 +290,7 @@ Status AsyncEngine::WriteSnapshot(int index) {
 }
 
 Status AsyncEngine::GetValue(CellId vertex, std::string* out) const {
-  const MachineId m = OwnerOf(vertex);
+  const MachineId m = owners_.OwnerOf(vertex);
   if (m < 0 || m >= num_slaves_) return Status::NotFound("no such vertex");
   auto it = machines_[m].values.find(vertex);
   if (it == machines_[m].values.end()) return Status::NotFound("no value");

@@ -3,15 +3,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
 #include "common/threadpool.h"
-#include "compute/packed_messages.h"
+#include "compute/exchange.h"
 #include "compute/scheduler.h"
+#include "compute/trunk_owners.h"
 #include "graph/graph.h"
 #include "net/cost_model.h"
 #include "tfs/tfs.h"
@@ -139,6 +139,9 @@ class AsyncEngine {
   void ForEachValue(
       const std::function<void(CellId, const std::string&)>& fn) const;
 
+  /// The fabric handler id this engine leased; released on destruction.
+  net::HandlerId handler_id() const { return exchange_.handler_id(); }
+
  private:
   struct MachineState {
     VertexScheduler scheduler;
@@ -146,9 +149,6 @@ class AsyncEngine {
     /// Safra bookkeeping: message deficit (sent - received) and color.
     std::int64_t deficit = 0;
     bool black = false;
-    /// Per-destination outboxes; only this machine's worker appends during
-    /// a sweep, the barrier drains them as packed payloads.
-    std::vector<Outbox> outboxes;
     /// Per-machine outcome of the parallel sweep.
     Status sweep_status;
     std::uint64_t sweep_updates = 0;
@@ -157,16 +157,8 @@ class AsyncEngine {
     std::uint64_t sweep_budget = 0;
   };
 
-  MachineId OwnerOf(CellId vertex) const;
-  /// Verifies every trunk-owning machine is still up; a crash mid-run
-  /// surfaces as a clean Unavailable at the next scheduling sweep instead
-  /// of updates silently vanishing on a shrunken cluster.
-  Status CheckClusterHealthy() const;
   void SendUpdate(MachineId src, CellId target, Slice message);
   void EnqueueLocal(MachineId machine, CellId target, Slice message);
-  /// Drains every (src,dst) outbox through Fabric::SendPacked in canonical
-  /// src-asc, dst-asc order (sweep barrier).
-  void FlushOutboxes();
   /// One pass of Safra's token around the ring. With `require_idle_queues`
   /// the token certifies global termination (no work, no in-flight
   /// messages); without, it certifies only transport quiescence — the
@@ -182,13 +174,12 @@ class AsyncEngine {
   /// Set when the Options combination is inconsistent (e.g. priority mode
   /// without a combiner); reported by Run().
   Status config_error_;
-  std::vector<MachineState> machines_;
-  std::vector<MachineId> trunk_owner_;
-  /// owns_trunks_[m]: machine m hosts at least one trunk (precomputed so
-  /// the per-sweep health check is O(machines)).
-  std::vector<bool> owns_trunks_;
-  std::unique_ptr<ThreadPool> pool_;
   int num_slaves_;
+  std::vector<MachineState> machines_;
+  TrunkOwners owners_;
+  ThreadPool pool_;
+  /// After machines_: its handlers write into them until it is destroyed.
+  Exchange exchange_;
 };
 
 }  // namespace trinity::compute

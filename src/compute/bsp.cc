@@ -1,7 +1,6 @@
 #include "compute/bsp.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/serializer.h"
@@ -36,54 +35,26 @@ void BspEngine::AggregateLocal(MachineId machine, Slice contribution) {
 BspEngine::BspEngine(graph::Graph* graph, Options options)
     : graph_(graph),
       options_(std::move(options)),
-      handler_id_(cloud::kBspMessageHandler) {
-  cloud::MemoryCloud* cloud = graph_->cloud();
-  num_slaves_ = cloud->num_slaves();
-  machines_.resize(num_slaves_);
-  // Snapshot trunk ownership so per-message routing is lock-free. BSP runs
-  // assume stable membership for their duration.
-  trunk_owner_.resize(cloud->table().num_slots());
-  owns_trunks_.assign(num_slaves_, false);
-  for (int t = 0; t < cloud->table().num_slots(); ++t) {
-    trunk_owner_[t] = cloud->table().machine_of_trunk(t);
-    if (trunk_owner_[t] >= 0 && trunk_owner_[t] < num_slaves_) {
-      owns_trunks_[trunk_owner_[t]] = true;
-    }
-  }
-  int threads = options_.num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads < 1) threads = 1;
-  pool_ = std::make_unique<ThreadPool>(threads);
+      num_slaves_(graph->cloud()->num_slaves()),
+      machines_(num_slaves_),
+      owners_(graph->cloud()),
+      pool_(options_.num_threads),
+      exchange_(graph->cloud()->fabric(),
+                [this](MachineId dst, MachineId, Slice payload) {
+                  // Payloads arrive on the driver thread in canonical
+                  // order; just stash the bytes. Unpacking (and the
+                  // combiner fold) is per-destination work and runs in
+                  // parallel inside FinalizeInboxes.
+                  machines_[dst].pending.emplace_back(payload.ToString());
+                }) {
   for (MachineId m = 0; m < num_slaves_; ++m) {
     machines_[m].vertices = graph_->LocalNodes(m);
-    machines_[m].outboxes.resize(num_slaves_);
-    cloud->fabric().RegisterAsyncHandler(
-        m, handler_id_, [this, m](MachineId, Slice payload) {
-          ReceivePacked(m, payload);
-        });
   }
-}
-
-MachineId BspEngine::OwnerOf(CellId vertex) const {
-  return trunk_owner_[graph_->cloud()->TrunkOf(vertex)];
-}
-
-Status BspEngine::CheckClusterHealthy() const {
-  const net::Fabric& fabric = graph_->cloud()->fabric();
-  for (MachineId m = 0; m < num_slaves_; ++m) {
-    if (owns_trunks_[m] && !fabric.IsMachineUp(m)) {
-      return Status::Unavailable("machine " + std::to_string(m) +
-                                 " crashed during the BSP run");
-    }
-  }
-  return Status::OK();
 }
 
 void BspEngine::SendMessage(MachineId src, CellId target, Slice message) {
-  // Append-only into src's outbox — no locks, no fabric until the barrier.
-  machines_[src].outboxes[OwnerOf(target)].Add(target, message);
+  // Append-only into src's outbox row: no locks, no fabric until the barrier.
+  exchange_.Add(src, owners_.OwnerOf(target), target, message);
 }
 
 void BspEngine::DeliverLocal(MachineId machine, CellId target,
@@ -105,41 +76,11 @@ void BspEngine::DeliverLocal(MachineId machine, CellId target,
   }
 }
 
-void BspEngine::ReceivePacked(MachineId machine, Slice payload) {
-  // Handlers fire on the driver thread while outboxes drain in canonical
-  // order; just stash the packed bytes. Unpacking (and the combiner fold)
-  // is per-destination work and runs in parallel inside FinalizeInboxes.
-  machines_[machine].pending.emplace_back(payload.ToString());
-}
-
-void BspEngine::FlushOutboxes() {
-  net::Fabric& fabric = graph_->cloud()->fabric();
-  // Canonical drain order — src asc, dst asc, arrival order within a pair —
-  // is what makes parallel and sequential runs deliver identical inboxes.
-  for (MachineId src = 0; src < num_slaves_; ++src) {
-    for (MachineId dst = 0; dst < num_slaves_; ++dst) {
-      Outbox& outbox = machines_[src].outboxes[dst];
-      if (outbox.empty()) continue;
-      if (src == dst) {
-        // Local messages bypass the fabric and its meters — the superstep
-        // MeterScope already covered this work.
-        ReceivePacked(src, Slice(outbox.bytes));
-      } else {
-        // Dead endpoints drop the batch inside the fabric (counted); the
-        // post-superstep health check surfaces the crash.
-        fabric.SendPacked(src, dst, handler_id_, Slice(outbox.bytes),
-                          outbox.count);
-      }
-      outbox.Clear();
-    }
-  }
-}
-
 void BspEngine::FinalizeInboxes(bool* any_messages) {
   // Second parallel half of the barrier: each destination unpacks its own
   // pending payloads, folds combiners, and sorts its inbox — no machine
   // touches another's staging state, so the fan-out is lock-free.
-  pool_->ParallelFor(num_slaves_, [&](int mi) {
+  pool_.ParallelFor(num_slaves_, [&](int mi) {
     MachineState& state = machines_[mi];
     for (const std::string& payload : state.pending) {
       const bool ok = ForEachPackedRecord(
@@ -187,9 +128,9 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
   cloud::MemoryCloud* cloud = graph_->cloud();
   // Machine-level parallelism (§5.3): each simulated slave's vertex loop
   // runs on a pool worker. A worker only touches its machine's state and
-  // outboxes, so the loop is lock-free; the ParallelFor join is the first
+  // outbox row, so the loop is lock-free; the ParallelFor join is the first
   // half of the superstep barrier.
-  pool_->ParallelFor(num_slaves_, [&](int mi) {
+  pool_.ParallelFor(num_slaves_, [&](int mi) {
     const MachineId m = mi;
     MachineState& state = machines_[m];
     state.step_status = Status::OK();
@@ -256,9 +197,11 @@ Status BspEngine::RunSuperstep(const Program& program, int superstep,
     if (!state.step_status.ok()) return state.step_status;
     any_active = any_active || state.any_active;
   }
-  // Second half of the barrier: drain the packed outboxes through the
-  // fabric (O(machines²) sends), then anything non-engine traffic buffered.
-  FlushOutboxes();
+  // Second half of the barrier: drain the packed outboxes (O(machines²)
+  // sends), then anything non-engine traffic buffered. A batch to a dead
+  // endpoint is dropped and counted by the fabric; the post-superstep
+  // health check surfaces the crash itself.
+  exchange_.Flush();
   fabric.FlushAll();
   // Fold the per-machine partial aggregates (in a real deployment each
   // machine ships one small value to the master here — negligible traffic).
@@ -298,8 +241,8 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
     state.next_records.clear();
     state.next_acc.clear();
     state.next_acc_order.clear();
-    for (Outbox& outbox : state.outboxes) outbox.Clear();
   }
+  exchange_.Clear();
   int superstep = 0;
   if (options_.checkpoint_interval > 0 && options_.tfs != nullptr) {
     Status rs = TryRestoreCheckpoint(&superstep);
@@ -307,7 +250,7 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
   }
   for (; superstep < options_.superstep_limit; ++superstep) {
     fabric.ResetMeters();
-    Status healthy = CheckClusterHealthy();
+    Status healthy = owners_.CheckHealthy("BSP run");
     if (!healthy.ok()) return healthy;
     bool all_quiet = false;
     Status s = RunSuperstep(program, superstep, &all_quiet);
@@ -315,7 +258,7 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
     // A machine lost mid-superstep dropped its vertices' work and any
     // messages in flight to it; surface the failure at the barrier rather
     // than computing onward with partial state.
-    healthy = CheckClusterHealthy();
+    healthy = owners_.CheckHealthy("BSP run");
     if (!healthy.ok()) return healthy;
     const double step_seconds = options_.cost_model.PhaseSeconds(fabric);
     stats->superstep_seconds.push_back(step_seconds);
@@ -337,7 +280,7 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
 }
 
 Status BspEngine::GetValue(CellId vertex, std::string* out) const {
-  const MachineId m = OwnerOf(vertex);
+  const MachineId m = owners_.OwnerOf(vertex);
   if (m < 0 || m >= num_slaves_) return Status::NotFound("no such vertex");
   auto it = machines_[m].values.find(vertex);
   if (it == machines_[m].values.end()) {
@@ -422,15 +365,8 @@ Status BspEngine::TryRestoreCheckpoint(int* superstep) {
     return Status::Corruption("checkpoint header mismatch");
   }
   for (MachineState& state : machines_) {
-    state.values.clear();
+    state.values.clear();  // Run() has already emptied the inboxes.
     state.halted.clear();
-    state.arena.clear();
-    state.records.clear();
-    state.pending.clear();
-    state.next_arena.clear();
-    state.next_records.clear();
-    state.next_acc.clear();
-    state.next_acc_order.clear();
   }
   // Each entry re-buckets through OwnerOf rather than landing on the
   // machine whose section it was written in: trunk ownership may have
@@ -450,7 +386,7 @@ Status BspEngine::TryRestoreCheckpoint(int* superstep) {
       if (!reader.GetU64(&v) || !reader.GetString(&value)) {
         return Status::Corruption("ckpt value entry");
       }
-      const MachineId owner = OwnerOf(v);
+      const MachineId owner = owners_.OwnerOf(v);
       if (owner < 0 || owner >= num_slaves_) {
         return Status::Corruption("ckpt vertex without owner");
       }
@@ -460,7 +396,7 @@ Status BspEngine::TryRestoreCheckpoint(int* superstep) {
     for (std::uint32_t i = 0; i < count; ++i) {
       CellId v = 0;
       if (!reader.GetU64(&v)) return Status::Corruption("ckpt halted entry");
-      const MachineId owner = OwnerOf(v);
+      const MachineId owner = owners_.OwnerOf(v);
       if (owner < 0 || owner >= num_slaves_) {
         return Status::Corruption("ckpt vertex without owner");
       }
@@ -473,7 +409,7 @@ Status BspEngine::TryRestoreCheckpoint(int* superstep) {
       if (!reader.GetU64(&v) || !reader.GetU32(&msgs)) {
         return Status::Corruption("ckpt inbox entry");
       }
-      const MachineId owner = OwnerOf(v);
+      const MachineId owner = owners_.OwnerOf(v);
       if (owner < 0 || owner >= num_slaves_) {
         return Status::Corruption("ckpt vertex without owner");
       }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -11,7 +10,8 @@
 
 #include "common/status.h"
 #include "common/threadpool.h"
-#include "compute/packed_messages.h"
+#include "compute/exchange.h"
+#include "compute/trunk_owners.h"
 #include "graph/graph.h"
 #include "net/cost_model.h"
 #include "tfs/tfs.h"
@@ -28,8 +28,8 @@ namespace trinity::compute {
 /// Execution is parallel at machine granularity (each simulated slave runs
 /// its vertex loop on a pool worker, like the paper's slaves running vertex
 /// programs on all cores); the superstep barrier is the ParallelFor join.
-/// Vertex sends append to per-(src,dst) outbox buffers that reach the fabric
-/// as one packed payload per pair at the barrier (§4.2 message packing done
+/// Vertex sends append to the engine's Exchange, which ships one packed
+/// payload per (src,dst) pair at the barrier (§4.2 message packing done
 /// explicitly), so fabric-mutex traffic is O(machines²) per superstep, not
 /// O(messages). Inboxes are merged at the barrier in canonical (source
 /// machine, arrival order) order, which makes a parallel run bit-identical
@@ -38,10 +38,8 @@ namespace trinity::compute {
 ///
 /// The engine reports both measured meter totals and the CostModel's modeled
 /// cluster seconds — the number the Fig 12(b)/(c) benchmarks plot.
-/// Each engine binds the cloud's BSP message handler at construction, so at
-/// most one BspEngine may be *running* on a given MemoryCloud at a time
-/// (constructing a new engine retargets the handler, which is fine once the
-/// previous run has finished).
+/// Each engine leases its own fabric handler id, so several engines can run
+/// on one MemoryCloud at once and none outlives its registration.
 class BspEngine {
  public:
   struct Options {
@@ -153,6 +151,9 @@ class BspEngine {
   /// The aggregated value after the last completed superstep.
   const std::string& aggregated() const { return aggregated_; }
 
+  /// The fabric handler id this engine leased; released on destruction.
+  net::HandlerId handler_id() const { return exchange_.handler_id(); }
+
  private:
   /// One delivered message: `len` bytes at `offset` into the inbox arena,
   /// destined for vertex `target`.
@@ -186,10 +187,6 @@ class BspEngine {
     std::unordered_map<CellId, std::string> next_acc;
     std::vector<CellId> next_acc_order;
 
-    /// Per-destination outboxes. Only this machine's worker thread appends
-    /// during a superstep; the barrier drains them sequentially.
-    std::vector<Outbox> outboxes;
-
     /// Reused messages() view for the running vertex.
     std::vector<Slice> msg_scratch;
 
@@ -205,28 +202,14 @@ class BspEngine {
     bool any_active = false;
   };
 
-  /// Owner machine of a vertex (lock-free snapshot of the addressing table
-  /// taken at engine construction; BSP runs assume stable membership).
-  MachineId OwnerOf(CellId vertex) const;
-  /// Verifies every machine that owns a trunk is still up. A crash mid-run
-  /// surfaces as a clean Unavailable instead of the engine silently
-  /// computing on a shrunken cluster; the caller recovers the cloud and
-  /// re-runs (restoring from the last checkpoint when configured).
-  Status CheckClusterHealthy() const;
   /// Appends the message to machine src's outbox toward the target's owner.
   void SendMessage(MachineId src, CellId target, Slice message);
   /// Stages one message into machine's next-superstep inbox (barrier only).
   void DeliverLocal(MachineId machine, CellId target, Slice message);
-  /// Stashes one packed payload for machine (fabric handler; unpacked later
-  /// by FinalizeInboxes).
-  void ReceivePacked(MachineId machine, Slice payload);
-  /// Runs the per-machine vertex loops in parallel, drains the outboxes
-  /// through the fabric, folds aggregates and swaps inboxes.
+  /// Runs the per-machine vertex loops in parallel, flushes the exchange,
+  /// folds aggregates and swaps inboxes.
   Status RunSuperstep(const Program& program, int superstep,
                       bool* all_quiet);
-  /// Drains every (src,dst) outbox: local pairs stage directly, remote
-  /// pairs go through Fabric::SendPacked. Canonical order: src asc, dst asc.
-  void FlushOutboxes();
   /// Unpacks pending payloads (in parallel, one worker per destination),
   /// sorts staged records by target, and swaps them in as the new inbox.
   void FinalizeInboxes(bool* any_messages);
@@ -238,15 +221,13 @@ class BspEngine {
 
   graph::Graph* graph_;
   Options options_;
-  net::HandlerId handler_id_;
-  std::vector<MachineState> machines_;
-  std::vector<MachineId> trunk_owner_;
-  /// owns_trunks_[m]: machine m hosts at least one trunk (precomputed so
-  /// CheckClusterHealthy is O(machines), not O(machines × trunks)).
-  std::vector<bool> owns_trunks_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::string aggregated_;
   int num_slaves_;
+  std::vector<MachineState> machines_;
+  TrunkOwners owners_;
+  ThreadPool pool_;
+  std::string aggregated_;
+  /// After machines_: its handlers write into them until it is destroyed.
+  Exchange exchange_;
 };
 
 }  // namespace trinity::compute

@@ -4,22 +4,21 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "common/slice.h"
 #include "common/types.h"
 
 namespace trinity::compute {
 
-/// Flat wire format shared by the compute engines' per-(src,dst) outboxes
-/// (paper §4.2 message packing, done explicitly at the engine layer):
+/// Flat wire format of a packed payload (paper §4.2 message packing, done
+/// explicitly at the engine layer; see compute::Exchange):
 ///
 ///   record := [target u64][len u32][len bytes]
 ///
-/// A vertex send appends one record to the outbox owned by the sending
-/// machine's worker thread; the whole buffer travels through the fabric as a
-/// single packed payload at the superstep barrier, so the fabric mutex is
-/// taken O(machines^2) times per superstep instead of once per message.
+/// A vertex send appends one record to its (src,dst) outbox; the whole
+/// buffer travels through the fabric as one payload at the barrier, so the
+/// fabric mutex is taken O(machines^2) times per superstep instead of once
+/// per message.
 inline void AppendPackedRecord(std::string* buf, CellId target, Slice msg) {
   const std::uint32_t len = static_cast<std::uint32_t>(msg.size());
   char header[12];
@@ -47,24 +46,6 @@ inline bool ForEachPackedRecord(Slice payload, const Fn& fn) {
   }
   return true;
 }
-
-/// One machine's outgoing buffer toward a single destination machine.
-/// Append-only during a superstep (touched by exactly one worker thread),
-/// flushed and cleared at the barrier.
-struct Outbox {
-  std::string bytes;
-  std::uint64_t count = 0;
-
-  void Add(CellId target, Slice msg) {
-    AppendPackedRecord(&bytes, target, msg);
-    ++count;
-  }
-  bool empty() const { return count == 0; }
-  void Clear() {
-    bytes.clear();
-    count = 0;
-  }
-};
 
 }  // namespace trinity::compute
 

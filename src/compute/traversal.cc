@@ -2,35 +2,21 @@
 
 #include <cstring>
 #include <limits>
-#include <thread>
 
 #include "common/serializer.h"
-#include "compute/packed_messages.h"
+#include "compute/exchange.h"
 
 namespace trinity::compute {
 
 TraversalEngine::TraversalEngine(graph::Graph* graph, Options options)
-    : graph_(graph), options_(std::move(options)) {
-  cloud::MemoryCloud* cloud = graph_->cloud();
-  num_slaves_ = cloud->num_slaves();
-  trunk_owner_.resize(cloud->table().num_slots());
-  for (int t = 0; t < cloud->table().num_slots(); ++t) {
-    trunk_owner_[t] = cloud->table().machine_of_trunk(t);
-  }
-  int threads = options_.num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads < 1) threads = 1;
-  pool_ = std::make_unique<ThreadPool>(threads);
-}
+    : graph_(graph),
+      options_(std::move(options)),
+      owners_(graph->cloud()),
+      pool_(options_.num_threads),
+      num_slaves_(graph->cloud()->num_slaves()) {}
 
 TraversalEngine::TraversalEngine(graph::Graph* graph)
     : TraversalEngine(graph, Options()) {}
-
-MachineId TraversalEngine::OwnerOf(CellId vertex) const {
-  return trunk_owner_[graph_->cloud()->TrunkOf(vertex)];
-}
 
 Status TraversalEngine::KHopExplore(CellId start, int max_depth,
                                     const Visitor& visit, QueryStats* stats,
@@ -47,32 +33,26 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
     std::vector<FrontierEntry> frontier;
     std::vector<FrontierEntry> incoming;
     std::unordered_set<CellId> visited;
-    std::vector<Outbox> outboxes;  ///< One per destination machine.
     std::uint64_t visited_count = 0;
     Status status;
   };
   std::vector<MachineRound> rounds(num_slaves_);
-  for (MachineRound& r : rounds) r.outboxes.resize(num_slaves_);
 
-  // Frontier-forwarding handler: a machine receives a packed payload of the
+  // Frontier forwarding: a machine receives a packed payload of the
   // vertices it owns that a remote machine just discovered. Record payload
-  // is the 4-byte hop depth. Handlers only run at the round barrier (the
+  // is the 4-byte hop depth. Payloads only arrive at the round barrier (the
   // expansion loop never touches the fabric), so `rounds` needs no lock.
-  for (MachineId m = 0; m < num_slaves_; ++m) {
-    fabric.RegisterAsyncHandler(
-        m, cloud::kTraversalExpandHandler,
-        [m, &rounds](MachineId, Slice payload) {
-          ForEachPackedRecord(payload, [m, &rounds](CellId vertex,
-                                                    Slice depth_bytes) {
-            if (depth_bytes.size() != 4) return;
-            std::uint32_t depth = 0;
-            std::memcpy(&depth, depth_bytes.data(), 4);
-            rounds[m].incoming.push_back({vertex, depth});
-          });
-        });
-  }
+  Exchange exchange(fabric, [&rounds](MachineId m, MachineId, Slice payload) {
+    ForEachPackedRecord(payload, [m, &rounds](CellId vertex,
+                                              Slice depth_bytes) {
+      if (depth_bytes.size() != 4) return;
+      std::uint32_t depth = 0;
+      std::memcpy(&depth, depth_bytes.data(), 4);
+      rounds[m].incoming.push_back({vertex, depth});
+    });
+  });
 
-  const MachineId start_owner = OwnerOf(start);
+  const MachineId start_owner = owners_.OwnerOf(start);
   if (start_owner < 0 || start_owner >= num_slaves_) {
     return Status::NotFound("start vertex unroutable");
   }
@@ -97,7 +77,7 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
     fabric.ResetMeters();
     // One round: every machine expands its frontier slice on a pool worker
     // (lock-free — remote discoveries go into per-destination outboxes).
-    pool_->ParallelFor(num_slaves_, [&](int mi) {
+    pool_.ParallelFor(num_slaves_, [&](int mi) {
       const MachineId m = mi;
       MachineRound& round = rounds[m];
       round.status = Status::OK();
@@ -115,15 +95,14 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
         const std::uint32_t next_depth = entry.depth + 1;
         for (std::size_t i = 0; i < out_count; ++i) {
           const CellId neighbor = out[i];
-          const MachineId owner = OwnerOf(neighbor);
+          const MachineId owner = owners_.OwnerOf(neighbor);
           if (owner == m) {
             if (round.visited.count(neighbor) == 0) {
               round.incoming.push_back({neighbor, next_depth});
             }
           } else {
-            round.outboxes[owner].Add(
-                neighbor,
-                Slice(reinterpret_cast<const char*>(&next_depth), 4));
+            exchange.Add(m, owner, neighbor,
+                         Slice(reinterpret_cast<const char*>(&next_depth), 4));
           }
         }
       };
@@ -179,16 +158,8 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
       round.visited_count = 0;
     }
     // Round barrier: one packed payload per (src,dst) pair with traffic in
-    // flight, drained in canonical src-asc, dst-asc order.
-    for (MachineId src = 0; src < num_slaves_; ++src) {
-      for (MachineId dst = 0; dst < num_slaves_; ++dst) {
-        Outbox& outbox = rounds[src].outboxes[dst];
-        if (outbox.empty()) continue;
-        fabric.SendPacked(src, dst, cloud::kTraversalExpandHandler,
-                          Slice(outbox.bytes), outbox.count);
-        outbox.Clear();
-      }
-    }
+    // flight. A batch lost to a dead machine is counted by the fabric.
+    exchange.Flush();
     fabric.FlushAll();  // One communication round.
     for (MachineRound& round : rounds) {
       round.frontier = std::move(round.incoming);
@@ -220,7 +191,7 @@ Status TraversalEngine::Bfs(
   Status s = KHopExplore(
       start, std::numeric_limits<int>::max() - 1,
       [this, &per_machine](CellId vertex, int depth, Slice) {
-        per_machine[OwnerOf(vertex)].emplace(
+        per_machine[owners_.OwnerOf(vertex)].emplace(
             vertex, static_cast<std::uint32_t>(depth));
         return true;
       },

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "common/call_context.h"
 #include "common/status.h"
 #include "common/threadpool.h"
+#include "compute/trunk_owners.h"
 #include "graph/graph.h"
 #include "net/cost_model.h"
 
@@ -25,7 +25,9 @@ namespace trinity::compute {
 /// The engine runs a level-synchronous distributed expansion: each machine
 /// expands the frontier vertices it owns against its local trunks
 /// (zero-copy), and forwards newly discovered remote vertices as packed
-/// one-sided payloads — one per (src,dst) machine pair per round (§4.2).
+/// one-sided payloads — one per (src,dst) machine pair per round (§4.2),
+/// through an Exchange that each query leases for itself, so concurrent
+/// queries on one cloud never see each other's frontiers.
 /// With num_threads > 1 the per-machine expansions of one round run on pool
 /// workers. Query latency is modeled per round — exactly the round-trip
 /// structure a real deployment would see — and summed into
@@ -83,12 +85,10 @@ class TraversalEngine {
              QueryStats* stats, CallContext* ctx = nullptr);
 
  private:
-  MachineId OwnerOf(CellId vertex) const;
-
   graph::Graph* graph_;
   Options options_;
-  std::vector<MachineId> trunk_owner_;
-  std::unique_ptr<ThreadPool> pool_;
+  TrunkOwners owners_;
+  ThreadPool pool_;
   int num_slaves_;
 };
 

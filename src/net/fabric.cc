@@ -1,5 +1,6 @@
 #include "net/fabric.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -42,6 +43,34 @@ void Fabric::RegisterSyncHandler(MachineId machine, HandlerId id,
                                  SyncHandler fn) {
   std::lock_guard<std::mutex> lock(mu_);
   sync_handlers_[machine][id] = std::move(fn);
+}
+
+HandlerId Fabric::AcquireHandlerId() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (free_handler_ids_.empty()) return next_handler_id_++;
+  const HandlerId id = free_handler_ids_.back();
+  free_handler_ids_.pop_back();
+  return id;
+}
+
+void Fabric::ReleaseHandlerId(HandlerId id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (int m = 0; m < num_machines_; ++m) {
+    async_handlers_[m].erase(id);
+    sync_handlers_[m].erase(id);
+  }
+  // Buffered sends to this id must not reach the id's next owner.
+  for (PairBuffer& buf : pair_buffers_) {
+    auto stale = std::stable_partition(
+        buf.messages.begin(), buf.messages.end(),
+        [id](const PackedMessage& msg) { return msg.handler != id; });
+    for (auto it = stale; it != buf.messages.end(); ++it) {
+      buf.bytes -= it->payload.size() + params_.frame_overhead_bytes;
+      stats_.dropped.fetch_add(1, std::memory_order_relaxed);
+    }
+    buf.messages.erase(stale, buf.messages.end());
+  }
+  free_handler_ids_.push_back(id);
 }
 
 Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,

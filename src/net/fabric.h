@@ -55,6 +55,30 @@ class Fabric {
   using SyncHandler =
       std::function<Status(MachineId, Slice, std::string* response)>;
 
+  /// Ids from here up are leased per instance (HandlerLease); the fixed
+  /// protocol ids of the cloud and TSL stay below it.
+  static constexpr HandlerId kFirstLeasedHandler = 1u << 16;
+
+  /// A handler id owned by one engine, exchange or run. The owner registers
+  /// its handlers under id() on whichever machines it needs; the destructor
+  /// unregisters the id on every machine, discards async messages still
+  /// buffered for it and returns it for reuse. A late payload sent to a
+  /// released id therefore finds no handler instead of its dead owner.
+  class HandlerLease {
+   public:
+    explicit HandlerLease(Fabric& fabric)
+        : fabric_(fabric), id_(fabric.AcquireHandlerId()) {}
+    ~HandlerLease() { fabric_.ReleaseHandlerId(id_); }
+    HandlerLease(const HandlerLease&) = delete;
+    HandlerLease& operator=(const HandlerLease&) = delete;
+
+    HandlerId id() const { return id_; }
+
+   private:
+    Fabric& fabric_;
+    const HandlerId id_;
+  };
+
   explicit Fabric(int num_machines);
   Fabric(int num_machines, Params params);
 
@@ -161,6 +185,9 @@ class Fabric {
     std::size_t bytes = 0;
   };
 
+  HandlerId AcquireHandlerId();
+  void ReleaseHandlerId(HandlerId id);
+
   int PairIndex(MachineId src, MachineId dst) const {
     return src * num_machines_ + dst;
   }
@@ -208,6 +235,8 @@ class Fabric {
   std::vector<std::unordered_map<HandlerId, AsyncHandler>> async_handlers_;
   std::vector<std::unordered_map<HandlerId, SyncHandler>> sync_handlers_;
   std::vector<PairBuffer> pair_buffers_;
+  std::vector<HandlerId> free_handler_ids_;
+  HandlerId next_handler_id_ = kFirstLeasedHandler;
   std::unique_ptr<std::atomic<bool>[]> machine_up_;
   std::unique_ptr<std::atomic<double>[]> cpu_micros_;
   AtomicNetworkStats stats_;

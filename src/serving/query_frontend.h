@@ -159,9 +159,9 @@ class QueryFrontend {
   std::vector<int> inflight_per_machine_;
   int inflight_total_ = 0;
 
-  /// kKHop/kTql serialize here: TraversalEngine registers fabric handlers
-  /// for the shared kTraversalExpandHandler id and resets fabric meters
-  /// per round, so at most one traversal may run at a time.
+  /// kKHop/kTql serialize here: TraversalEngine resets the cloud-wide
+  /// fabric meters per round, so a concurrent traversal would corrupt its
+  /// modeled latency.
   std::mutex traversal_mu_;
 
   mutable std::mutex stats_mu_;

@@ -1,7 +1,8 @@
 // Randomized property tests against reference models, parameterized over
 // seeds: the cell accessor vs a plain struct, the memory cloud under
-// continuous crash/recovery churn vs a std::map, and the fabric's delivery
-// guarantees under random flushing.
+// continuous crash/recovery churn vs a std::map, the fabric's delivery
+// guarantees under random flushing, and the byte decoders (adjacency codec,
+// packed message records) against garbage.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 
 #include "cloud/memory_cloud.h"
 #include "common/random.h"
+#include "compute/packed_messages.h"
 #include "graph/graph.h"
 #include "net/fabric.h"
 #include "storage/cell_codec.h"
@@ -372,6 +374,92 @@ TEST_P(CellCodecFuzzTest, RoundTripsAndNeverCrashesOnGarbage) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CellCodecFuzzTest,
                          ::testing::Values(5, 55, 555));
+
+// ------------------------------------------------ Packed record fuzz
+
+class PackedRecordFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+struct DecodedRecord {
+  CellId target;
+  std::string msg;
+  bool operator==(const DecodedRecord& o) const {
+    return target == o.target && msg == o.msg;
+  }
+};
+
+// Decodes `bytes` from an exact-size heap copy (so ASan sees any read past
+// the end), checks every record lies inside the payload, and re-encodes
+// what was decoded. Returns the decoder's verdict.
+bool DecodeChecked(const std::string& bytes, std::vector<DecodedRecord>* out,
+                   std::string* reencoded) {
+  const std::vector<char> copy(bytes.begin(), bytes.end());
+  const Slice payload(copy.data(), copy.size());
+  const char* end = copy.data() + copy.size();
+  out->clear();
+  reencoded->clear();
+  const bool ok = compute::ForEachPackedRecord(
+      payload, [&](CellId target, Slice msg) {
+        EXPECT_TRUE(msg.size() == 0 || (msg.data() >= copy.data() &&
+                                         msg.data() + msg.size() <= end))
+            << "record outside the payload";
+        out->push_back({target, msg.ToString()});
+        compute::AppendPackedRecord(reencoded, target, msg);
+      });
+  return ok;
+}
+
+// AppendPackedRecord output decodes back exactly; truncated, bit-flipped
+// and random buffers never make ForEachPackedRecord read past the payload,
+// and whatever it yields before stopping is a well-formed prefix.
+TEST_P(PackedRecordFuzzTest, RoundTripsAndNeverReadsPastThePayload) {
+  Random rng(GetParam());
+  std::vector<DecodedRecord> decoded;
+  std::string reencoded;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<DecodedRecord> records(rng.Uniform(12));
+    std::string buf;
+    for (DecodedRecord& rec : records) {
+      rec.target = rng.Next();
+      rec.msg.resize(rng.Bernoulli(0.1) ? 0 : rng.Uniform(64));
+      for (char& c : rec.msg) c = static_cast<char>(rng.Uniform(256));
+      compute::AppendPackedRecord(&buf, rec.target, Slice(rec.msg));
+    }
+    ASSERT_TRUE(DecodeChecked(buf, &decoded, &reencoded));
+    ASSERT_EQ(decoded, records);
+    ASSERT_EQ(reencoded, buf);
+
+    // Truncation: exactly the records wholly before the cut survive, and
+    // the verdict is false unless the cut falls on a record boundary.
+    const std::string cut = buf.substr(0, rng.Uniform(buf.size() + 1));
+    const bool cut_ok = DecodeChecked(cut, &decoded, &reencoded);
+    ASSERT_EQ(cut.compare(0, reencoded.size(), reencoded), 0);
+    ASSERT_EQ(cut_ok, reencoded.size() == cut.size());
+    ASSERT_LE(decoded.size(), records.size());
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+      ASSERT_EQ(decoded[i], records[i]);
+    }
+
+    // Bit flips (often in a length field) and pure garbage: the decoded
+    // records re-encode to a prefix of the input — the whole input iff
+    // the decoder accepted it.
+    std::string mutated = buf.empty() ? std::string(1, '\0') : buf;
+    for (int flips = 1 + static_cast<int>(rng.Uniform(4)); flips > 0;
+         --flips) {
+      mutated[rng.Uniform(mutated.size())] ^=
+          static_cast<char>(1u << rng.Uniform(8));
+    }
+    std::string garbage(rng.Uniform(96), '\0');
+    for (char& c : garbage) c = static_cast<char>(rng.Uniform(256));
+    for (const std::string* input : {&mutated, &garbage}) {
+      const bool ok = DecodeChecked(*input, &decoded, &reencoded);
+      ASSERT_EQ(input->compare(0, reencoded.size(), reencoded), 0);
+      ASSERT_EQ(ok, reencoded.size() == input->size());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PackedRecordFuzzTest,
+                         ::testing::Values(3, 33, 333));
 
 }  // namespace
 }  // namespace trinity
