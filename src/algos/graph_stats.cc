@@ -10,7 +10,7 @@ Status ComputeGraphStats(graph::Graph* graph, std::uint64_t tail_cutoff,
   *out = GraphStats();
   cloud::MemoryCloud* cloud = graph->cloud();
   net::Fabric& fabric = cloud->fabric();
-  fabric.ResetMeters();
+  net::RunMeters run(fabric);
   // Per-machine partial histograms, folded client-side (the per-partition
   // sampling paradigm of §5.5 — no cross-machine traffic beyond the fold).
   std::vector<std::map<std::uint64_t, std::uint64_t>> partials(
@@ -60,7 +60,7 @@ Status ComputeGraphStats(graph::Graph* graph, std::uint64_t tail_cutoff,
       out->power_law_gamma = 1.0 + static_cast<double>(tail) / log_sum;
     }
   }
-  out->modeled_millis = cost_model.PhaseSeconds(fabric) * 1000.0;
+  out->modeled_millis = cost_model.PhaseSeconds(run) * 1000.0;
   return Status::OK();
 }
 

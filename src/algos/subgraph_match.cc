@@ -112,7 +112,7 @@ Status SubgraphMatcher::Match(const Pattern& pattern, Result* result) {
   // Seed: every machine scans its local vertices for label-0 candidates.
   // (A production system scans lazily; the work cap bounds this too.)
   const std::uint32_t first_label = pattern.nodes[0].label;
-  fabric.ResetMeters();
+  net::RunMeters round_meter(fabric);
   bool done = false;
   for (MachineId m = 0; m < num_slaves_ && !done; ++m) {
     net::Fabric::MeterScope meter(fabric, m);
@@ -135,12 +135,12 @@ Status SubgraphMatcher::Match(const Pattern& pattern, Result* result) {
     }
   }
   result->modeled_millis +=
-      options_.cost_model.PhaseSeconds(fabric) * 1000.0;
+      options_.cost_model.PhaseSeconds(round_meter) * 1000.0;
   ++result->rounds;
 
   while (!done) {
     bool any = false;
-    fabric.ResetMeters();
+    round_meter.Reset();
     for (MachineId m = 0; m < num_slaves_ && !done; ++m) {
       net::Fabric::MeterScope meter(fabric, m);
       std::uint64_t processed_this_round = 0;
@@ -216,7 +216,7 @@ Status SubgraphMatcher::Match(const Pattern& pattern, Result* result) {
       if (!queues[m].empty()) any = true;
     }
     result->modeled_millis +=
-        options_.cost_model.PhaseSeconds(fabric) * 1000.0;
+        options_.cost_model.PhaseSeconds(round_meter) * 1000.0;
     ++result->rounds;
     if (!any) break;
   }

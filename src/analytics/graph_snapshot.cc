@@ -134,6 +134,8 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
   views->assign(slaves, GraphSnapshot());
   BuildStats local_stats;
   Stopwatch watch;
+  // Reset where phase 2 starts, so it meters this build's exchange alone.
+  net::RunMeters exchange_meter(fabric);
 
   // Phase 1: frozen per-machine scans (lock-free read path).
   std::vector<std::vector<CapturedNode>> captured(slaves);
@@ -148,7 +150,7 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
   // packed payload per machine pair, in each direction — O(machines), not
   // O(edges), and the only traffic the build ever puts on the wire.
   watch.Reset();
-  const net::NetworkStats before = fabric.stats();
+  exchange_meter.Reset();
   MachineId coord = 0;
   for (MachineId m = 0; m < slaves; ++m) {
     if (cloud->storage(m) != nullptr) {
@@ -230,9 +232,9 @@ Status SnapshotBuilder::Build(graph::Graph* graph,
   }
   s = ranks.Flush();
   if (!s.ok()) return s;
-  const net::NetworkStats after = fabric.stats();
-  local_stats.exchange_bytes = after.bytes - before.bytes;
-  local_stats.exchange_messages = after.messages - before.messages;
+  const net::NetworkStats exchanged = exchange_meter.Snapshot();
+  local_stats.exchange_bytes = exchanged.bytes;
+  local_stats.exchange_messages = exchanged.messages;
   local_stats.exchange_ms = watch.ElapsedMillis();
 
   // Phase 3: per-machine oriented CSR materialization.

@@ -78,13 +78,14 @@ Status GhostEngine::RunBfs(CellId start, BfsStats* stats) {
   std::vector<std::vector<std::pair<CellId, std::uint32_t>>> frontier(
       options_.num_machines);
   frontier[OwnerOf(start)].emplace_back(start, 0);
+  net::RunMeters round_meter(*fabric_);
   for (;;) {
     bool any = false;
     for (const auto& f : frontier) {
       if (!f.empty()) any = true;
     }
     if (!any) break;
-    fabric_->ResetMeters();
+    round_meter.Reset();
     for (MachineId m = 0; m < options_.num_machines; ++m) {
       Machine& machine = machines_[m];
       Stopwatch watch;
@@ -125,10 +126,10 @@ Status GhostEngine::RunBfs(CellId start, BfsStats* stats) {
       frontier[m] = std::move(incoming[m]);
       incoming[m].clear();
     }
-    const net::NetworkStats net = fabric_->stats();
+    const net::NetworkStats net = round_meter.Snapshot();
     stats->messages += net.messages;
     stats->transfers += net.transfers;
-    stats->modeled_seconds += cost_model.PhaseSeconds(*fabric_);
+    stats->modeled_seconds += cost_model.PhaseSeconds(round_meter);
     ++stats->rounds;
   }
   return Status::OK();

@@ -53,8 +53,9 @@ Status HeapEngine::RunPageRank(RunStats* stats) {
   // Wire framing: Writable envelope emulated by padding the payload.
   const std::string padding(options_.per_message_wire_bytes, '\0');
 
+  net::RunMeters step_meter(*fabric_);
   for (int step = 0; step <= options_.iterations; ++step) {
-    fabric_->ResetMeters();
+    step_meter.Reset();
     for (MachineId m = 0; m < options_.num_machines; ++m) {
       Stopwatch watch;
       Machine& machine = machines_[m];
@@ -94,7 +95,7 @@ Status HeapEngine::RunPageRank(RunStats* stats) {
       fabric_->AddCpuMicros(m, watch.ElapsedMicros() * options_.cpu_factor);
     }
     fabric_->FlushAll();
-    stats->modeled_seconds += cost_model.PhaseSeconds(*fabric_) +
+    stats->modeled_seconds += cost_model.PhaseSeconds(step_meter) +
                               options_.superstep_overhead_seconds;
     ++stats->supersteps;
   }

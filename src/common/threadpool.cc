@@ -5,13 +5,14 @@
 
 namespace trinity {
 
-ThreadPool::ThreadPool(int num_threads) {
-  if (num_threads <= 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (num_threads < 1) num_threads = 1;
-  workers_.reserve(num_threads);
-  for (int i = 0; i < num_threads; ++i) {
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(std::max(
+          1, num_threads > 0
+                 ? num_threads
+                 : static_cast<int>(std::thread::hardware_concurrency()))) {
+  if (num_threads_ == 1) return;  // Submit runs tasks inline.
+  workers_.reserve(num_threads_);
+  for (int i = 0; i < num_threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -26,9 +27,13 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  if (workers_.empty()) {
+    task();
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
+    queue_.push_back({std::move(task), current_run_meter});
   }
   work_cv_.notify_one();
 }
@@ -38,22 +43,27 @@ void ThreadPool::WaitIdle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  const int shards = std::min(n, num_threads());
-  std::vector<Shard> plan;
-  plan.reserve(shards);
-  // Contiguous chunks, one task per shard: shard s covers
-  // [s*chunk + min(s,rem), ...) so sizes differ by at most one.
+// Contiguous chunks of [0, n), n > 0: shard s covers [s*chunk + min(s,rem),
+// ...) so sizes differ by at most one.
+static std::vector<ThreadPool::Shard> EqualChunks(int n, int max_shards) {
+  const int shards = std::min(n, max_shards);
   const int chunk = n / shards;
   const int rem = n % shards;
+  std::vector<ThreadPool::Shard> plan;
+  plan.reserve(shards);
   for (int s = 0; s < shards; ++s) {
     const int begin = s * chunk + std::min(s, rem);
     plan.push_back({begin, begin + chunk + (s < rem ? 1 : 0)});
   }
-  ParallelForShards(plan, [&fn](int, int begin, int end) {
-    for (int i = begin; i < end; ++i) fn(i);
-  });
+  return plan;
+}
+
+void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
+  if (n <= 0) return;
+  ParallelForShards(EqualChunks(n, num_threads()),
+                    [&fn](int, int begin, int end) {
+                      for (int i = begin; i < end; ++i) fn(i);
+                    });
 }
 
 std::vector<ThreadPool::Shard> ThreadPool::SplitWeighted(
@@ -67,17 +77,7 @@ std::vector<ThreadPool::Shard> ThreadPool::SplitWeighted(
     item_cost[i] = std::max(0.0, cost(i));
     total += item_cost[i];
   }
-  if (total <= 0.0) {
-    // Degenerate costs: equal-count chunks.
-    const int shards = std::min(n, max_shards);
-    const int chunk = n / shards;
-    const int rem = n % shards;
-    for (int s = 0; s < shards; ++s) {
-      const int begin = s * chunk + std::min(s, rem);
-      plan.push_back({begin, begin + chunk + (s < rem ? 1 : 0)});
-    }
-    return plan;
-  }
+  if (total <= 0.0) return EqualChunks(n, max_shards);  // Degenerate costs.
   // Walk the prefix sum, cutting a shard each time the running cost crosses
   // the next multiple of total/max_shards. Every shard therefore carries at
   // most ideal + one item of cost, and a single huge item gets a shard of
@@ -144,7 +144,7 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn,
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
@@ -153,7 +153,9 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
       ++active_;
     }
-    task();
+    current_run_meter = task.run_meter;
+    task.fn();
+    current_run_meter = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_;

@@ -10,12 +10,22 @@
 
 namespace trinity {
 
+namespace net {
+class Meters;
+}  // namespace net
+
+/// The calling thread's run meter (see net::RunMeters). It lives here
+/// because ThreadPool carries it into the tasks it runs.
+inline constinit thread_local net::Meters* current_run_meter = nullptr;
+
 /// Fixed-size worker pool. Trinity slaves run their message handlers and BSP
 /// partition jobs on a pool like this; WaitIdle() gives the bulk-synchronous
-/// barrier between supersteps.
+/// barrier between supersteps. A task runs under the run meter that was
+/// current when it was submitted.
 class ThreadPool {
  public:
   /// num_threads <= 0 means one worker per hardware thread (at least one).
+  /// A one-thread pool starts no worker: Submit runs the task inline.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
@@ -28,7 +38,7 @@ class ThreadPool {
   /// Blocks until the queue is empty and all workers are idle.
   void WaitIdle();
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  int num_threads() const { return num_threads_; }
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion —
   /// the call itself is the barrier. The range is split into at most
@@ -72,12 +82,18 @@ class ThreadPool {
                    const std::function<double(int)>& cost);
 
  private:
+  struct Task {
+    std::function<void()> fn;
+    net::Meters* run_meter;
+  };
+
   void WorkerLoop();
 
+  int num_threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<Task> queue_;
   std::vector<std::thread> workers_;
   int active_ = 0;
   bool shutdown_ = false;

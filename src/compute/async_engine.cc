@@ -117,10 +117,9 @@ bool AsyncEngine::SafraProbe(bool require_idle_queues) {
 Status AsyncEngine::Run(const Handler& handler, RunStats* stats) {
   *stats = RunStats();
   if (!config_error_.ok()) return config_error_;
-  net::Fabric& fabric = graph_->cloud()->fabric();
-  fabric.ResetMeters();
+  net::RunMeters run(graph_->cloud()->fabric());
   const Status result = RunLoop(handler, stats);
-  // Fold the per-machine scheduler counters and the fabric meters into the
+  // Fold the per-machine scheduler counters and the run's meters into the
   // stats on every exit path, so aborted runs stay explainable too.
   for (const MachineState& state : machines_) {
     const VertexScheduler::Stats& s = state.scheduler.stats();
@@ -129,10 +128,10 @@ Status AsyncEngine::Run(const Handler& handler, RunStats* stats) {
     stats->epsilon_dropped += s.dropped;
     stats->heap_ops += state.scheduler.heap_ops();
   }
-  const net::NetworkStats net = fabric.stats();
+  const net::NetworkStats net = run.Snapshot();
   stats->wire_bytes = net.bytes;
   stats->wire_transfers = net.transfers;
-  stats->modeled_seconds = options_.cost_model.PhaseSeconds(fabric);
+  stats->modeled_seconds = options_.cost_model.PhaseSeconds(run);
   return result;
 }
 

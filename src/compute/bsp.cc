@@ -248,8 +248,9 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
     Status rs = TryRestoreCheckpoint(&superstep);
     if (rs.ok() && superstep > 0) stats->restored_from_checkpoint = true;
   }
+  net::RunMeters step(fabric);
   for (; superstep < options_.superstep_limit; ++superstep) {
-    fabric.ResetMeters();
+    step.Reset();
     Status healthy = owners_.CheckHealthy("BSP run");
     if (!healthy.ok()) return healthy;
     bool all_quiet = false;
@@ -260,10 +261,10 @@ Status BspEngine::Run(const Program& program, RunStats* stats) {
     // than computing onward with partial state.
     healthy = owners_.CheckHealthy("BSP run");
     if (!healthy.ok()) return healthy;
-    const double step_seconds = options_.cost_model.PhaseSeconds(fabric);
+    const double step_seconds = options_.cost_model.PhaseSeconds(step);
     stats->superstep_seconds.push_back(step_seconds);
     stats->modeled_seconds += step_seconds;
-    const net::NetworkStats net = fabric.stats();
+    const net::NetworkStats net = step.Snapshot();
     stats->messages += net.messages + net.local_messages;
     stats->transfers += net.transfers;
     stats->bytes += net.bytes;

@@ -58,6 +58,7 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
   }
   rounds[start_owner].frontier.push_back({start, 0});
 
+  net::RunMeters round_meter(fabric);
   for (;;) {
     bool any = false;
     for (const MachineRound& r : rounds) {
@@ -74,7 +75,7 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
       Status gate = ctx->Check();
       if (!gate.ok()) return gate;
     }
-    fabric.ResetMeters();
+    round_meter.Reset();
     // One round: every machine expands its frontier slice on a pool worker
     // (lock-free — remote discoveries go into per-destination outboxes).
     pool_.ParallelFor(num_slaves_, [&](int mi) {
@@ -165,11 +166,11 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
       round.frontier = std::move(round.incoming);
       round.incoming.clear();
     }
-    const net::NetworkStats net = fabric.stats();
+    const net::NetworkStats net = round_meter.Snapshot();
     stats->messages += net.messages;
     stats->transfers += net.transfers;
     const double round_millis =
-        options_.cost_model.PhaseSeconds(fabric) * 1000.0;
+        options_.cost_model.PhaseSeconds(round_meter) * 1000.0;
     stats->modeled_millis += round_millis;
     ++stats->rounds;
     // The round's modeled latency is time the caller waited: charge it to

@@ -4,19 +4,19 @@
 
 namespace trinity::net {
 
-double CostModel::ComputeSeconds(const Fabric& fabric) const {
-  return fabric.MaxCpuMicros() / params_.cores_per_machine / 1e6;
+double CostModel::ComputeSeconds(const Meters& meters) const {
+  return meters.MaxCpuMicros() / params_.cores_per_machine / 1e6;
 }
 
-double CostModel::CommSeconds(const Fabric& fabric) const {
-  const PerMachineTraffic traffic = fabric.traffic();
+double CostModel::CommSeconds(const Meters& meters) const {
   double max_bytes = 0.0;
   double max_transfers = 0.0;
-  for (int m = 0; m < fabric.num_machines(); ++m) {
-    const double bytes = static_cast<double>(traffic.bytes_in[m]) +
-                         static_cast<double>(traffic.bytes_out[m]);
-    const double transfers = static_cast<double>(traffic.transfers_in[m]) +
-                             static_cast<double>(traffic.transfers_out[m]);
+  for (int m = 0; m < meters.num_machines(); ++m) {
+    const Meters::Machine& nic = meters.machine(m);
+    const double bytes = static_cast<double>(nic.bytes_in.load()) +
+                         static_cast<double>(nic.bytes_out.load());
+    const double transfers = static_cast<double>(nic.transfers_in.load()) +
+                             static_cast<double>(nic.transfers_out.load());
     max_bytes = std::max(max_bytes, bytes);
     max_transfers = std::max(max_transfers, transfers);
   }
@@ -24,10 +24,6 @@ double CostModel::CommSeconds(const Fabric& fabric) const {
   const double latency_us = max_transfers * params_.transfer_latency_us /
                             params_.transfer_overlap;
   return (serialization_us + latency_us) / 1e6;
-}
-
-double CostModel::PhaseSeconds(const Fabric& fabric) const {
-  return ComputeSeconds(fabric) + CommSeconds(fabric);
 }
 
 }  // namespace trinity::net

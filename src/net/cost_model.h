@@ -5,8 +5,8 @@
 
 namespace trinity::net {
 
-/// Converts one metered phase (CPU microseconds per machine + per-machine
-/// NIC traffic) into the wall-clock seconds an m-machine cluster would take.
+/// Converts one metered phase (a Meters: CPU microseconds + NIC traffic per
+/// machine) into the wall-clock seconds an m-machine cluster would take.
 ///
 /// All machines of the simulated cluster execute on this single host, so raw
 /// wall time says nothing about cluster scaling. Instead the engines meter
@@ -34,14 +34,20 @@ class CostModel {
   CostModel() : params_() {}
   explicit CostModel(const Params& params) : params_(params) {}
 
-  /// Modeled seconds for the phase currently metered in `fabric`.
-  double PhaseSeconds(const Fabric& fabric) const;
+  /// Modeled seconds for the phase metered in `meters`.
+  double PhaseSeconds(const Meters& meters) const {
+    return ComputeSeconds(meters) + CommSeconds(meters);
+  }
+  /// Prices the fabric's cumulative meters (Fabric::meters()).
+  double PhaseSeconds(const Fabric& fabric) const {
+    return PhaseSeconds(fabric.meters());
+  }
 
   /// Modeled compute-only seconds (critical-path CPU / cores).
-  double ComputeSeconds(const Fabric& fabric) const;
+  double ComputeSeconds(const Meters& meters) const;
 
   /// Modeled communication-only seconds.
-  double CommSeconds(const Fabric& fabric) const;
+  double CommSeconds(const Meters& meters) const;
 
   const Params& params() const { return params_; }
 

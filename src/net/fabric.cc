@@ -1,6 +1,7 @@
 #include "net/fabric.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,7 +11,7 @@ namespace trinity::net {
 Fabric::Fabric(int num_machines) : Fabric(num_machines, Params()) {}
 
 Fabric::Fabric(int num_machines, Params params)
-    : num_machines_(num_machines), params_(params) {
+    : num_machines_(num_machines), params_(params), meters_(num_machines) {
   TRINITY_CHECK(num_machines >= 1, "fabric needs at least one machine");
   async_handlers_.resize(num_machines_);
   sync_handlers_.resize(num_machines_);
@@ -18,18 +19,8 @@ Fabric::Fabric(int num_machines, Params params)
                        num_machines_);
   const std::size_t n = static_cast<std::size_t>(num_machines_);
   machine_up_ = std::make_unique<std::atomic<bool>[]>(n);
-  cpu_micros_ = std::make_unique<std::atomic<double>[]>(n);
-  traffic_bytes_in_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  traffic_bytes_out_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  traffic_transfers_in_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  traffic_transfers_out_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
   for (std::size_t i = 0; i < n; ++i) {
     machine_up_[i].store(true, std::memory_order_relaxed);
-    cpu_micros_[i].store(0.0, std::memory_order_relaxed);
-    traffic_bytes_in_[i].store(0, std::memory_order_relaxed);
-    traffic_bytes_out_[i].store(0, std::memory_order_relaxed);
-    traffic_transfers_in_[i].store(0, std::memory_order_relaxed);
-    traffic_transfers_out_[i].store(0, std::memory_order_relaxed);
   }
 }
 
@@ -66,46 +57,50 @@ void Fabric::ReleaseHandlerId(HandlerId id) {
         [id](const PackedMessage& msg) { return msg.handler != id; });
     for (auto it = stale; it != buf.messages.end(); ++it) {
       buf.bytes -= it->payload.size() + params_.frame_overhead_bytes;
-      stats_.dropped.fetch_add(1, std::memory_order_relaxed);
+      Count(&NetworkStats::dropped, 1);
     }
     buf.messages.erase(stale, buf.messages.end());
   }
   free_handler_ids_.push_back(id);
 }
 
-Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,
-                         Slice payload) {
+Status Fabric::StartSend(MachineId src, MachineId dst, HandlerId id,
+                         Slice payload, std::uint64_t message_count,
+                         int* copies) {
+  *copies = 0;
   if (dst < 0 || dst >= num_machines_) {
     return Status::InvalidArgument("bad destination machine");
   }
-  stats_.messages.fetch_add(1, std::memory_order_relaxed);
+  Count(&NetworkStats::messages, message_count);
   if (src >= 0 && src < num_machines_ &&
       !machine_up_[src].load(std::memory_order_acquire)) {
     // A crashed machine cannot originate traffic; callers still running on
     // its behalf (e.g. a vertex program mid-superstep) see the failure.
-    stats_.dropped.fetch_add(1, std::memory_order_relaxed);
+    Count(&NetworkStats::dropped, message_count);
     return Status::Unavailable("source machine is down");
   }
   if (!machine_up_[dst].load(std::memory_order_acquire)) {
-    stats_.dropped.fetch_add(1, std::memory_order_relaxed);
+    Count(&NetworkStats::dropped, message_count);
     return Status::Unavailable("destination machine is down");
   }
   if (src == dst) {
-    stats_.local_messages.fetch_add(1, std::memory_order_relaxed);
+    Count(&NetworkStats::local_messages, message_count);
   }
-  int copies = 1;
+  int n = 1;
   if (injector_ != nullptr) {
+    // The injector sees one message event per send: a drop loses the whole
+    // packed batch (the unit that actually crosses the wire).
     switch (injector_->OnAsyncMessage(src, dst, id)) {
       case FaultInjector::AsyncAction::kDrop:
         // Silent loss: the sender believes the send succeeded — that is the
         // fault being modeled.
-        stats_.dropped.fetch_add(1, std::memory_order_relaxed);
-        stats_.injected_drops.fetch_add(1, std::memory_order_relaxed);
+        Count(&NetworkStats::dropped, message_count);
+        Count(&NetworkStats::injected_drops, 1);
         MaybeTriggerCrashes(src, dst);
         return Status::OK();
       case FaultInjector::AsyncAction::kDuplicate:
-        stats_.injected_duplicates.fetch_add(1, std::memory_order_relaxed);
-        copies = 2;
+        Count(&NetworkStats::injected_duplicates, 1);
+        n = 2;
         break;
       case FaultInjector::AsyncAction::kDeliver:
         break;
@@ -113,10 +108,19 @@ Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,
   }
   if (src == dst) {
     // Local delivery never touches the wire.
-    for (int c = 0; c < copies; ++c) Deliver(src, dst, id, payload);
+    for (int c = 0; c < n; ++c) Deliver(src, dst, id, payload);
     MaybeTriggerCrashes(src, dst);
     return Status::OK();
   }
+  *copies = n;
+  return Status::OK();
+}
+
+Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,
+                         Slice payload) {
+  int copies = 0;
+  Status started = StartSend(src, dst, id, payload, 1, &copies);
+  if (copies == 0) return started;
   if (!params_.pack_messages) {
     // Ablation mode: every message is its own physical transfer.
     for (int c = 0; c < copies; ++c) {
@@ -147,45 +151,9 @@ Status Fabric::SendAsync(MachineId src, MachineId dst, HandlerId id,
 
 Status Fabric::SendPacked(MachineId src, MachineId dst, HandlerId id,
                           Slice payload, std::uint64_t message_count) {
-  if (dst < 0 || dst >= num_machines_) {
-    return Status::InvalidArgument("bad destination machine");
-  }
-  stats_.messages.fetch_add(message_count, std::memory_order_relaxed);
-  if (src >= 0 && src < num_machines_ &&
-      !machine_up_[src].load(std::memory_order_acquire)) {
-    stats_.dropped.fetch_add(message_count, std::memory_order_relaxed);
-    return Status::Unavailable("source machine is down");
-  }
-  if (!machine_up_[dst].load(std::memory_order_acquire)) {
-    stats_.dropped.fetch_add(message_count, std::memory_order_relaxed);
-    return Status::Unavailable("destination machine is down");
-  }
-  if (src == dst) {
-    stats_.local_messages.fetch_add(message_count, std::memory_order_relaxed);
-  }
-  int copies = 1;
-  if (injector_ != nullptr) {
-    // The injector sees the packed payload as one message event: a drop
-    // loses the whole batch (the unit that actually crosses the wire).
-    switch (injector_->OnAsyncMessage(src, dst, id)) {
-      case FaultInjector::AsyncAction::kDrop:
-        stats_.dropped.fetch_add(message_count, std::memory_order_relaxed);
-        stats_.injected_drops.fetch_add(1, std::memory_order_relaxed);
-        MaybeTriggerCrashes(src, dst);
-        return Status::OK();
-      case FaultInjector::AsyncAction::kDuplicate:
-        stats_.injected_duplicates.fetch_add(1, std::memory_order_relaxed);
-        copies = 2;
-        break;
-      case FaultInjector::AsyncAction::kDeliver:
-        break;
-    }
-  }
-  if (src == dst) {
-    for (int c = 0; c < copies; ++c) Deliver(src, dst, id, payload);
-    MaybeTriggerCrashes(src, dst);
-    return Status::OK();
-  }
+  int copies = 0;
+  Status started = StartSend(src, dst, id, payload, message_count, &copies);
+  if (copies == 0) return started;
   std::size_t transfers;
   std::size_t wire_bytes;
   if (params_.pack_messages) {
@@ -218,14 +186,14 @@ Status Fabric::Call(MachineId src, MachineId dst, HandlerId id, Slice payload,
     Status gate = ctx->Check();
     if (!gate.ok()) return gate;
   }
-  stats_.sync_calls.fetch_add(1, std::memory_order_relaxed);
+  Count(&NetworkStats::sync_calls, 1);
   if (src >= 0 && src < num_machines_ &&
       !machine_up_[src].load(std::memory_order_acquire)) {
-    stats_.dropped.fetch_add(1, std::memory_order_relaxed);
+    Count(&NetworkStats::dropped, 1);
     return Status::Unavailable("source machine is down");
   }
   if (!machine_up_[dst].load(std::memory_order_acquire)) {
-    stats_.dropped.fetch_add(1, std::memory_order_relaxed);
+    Count(&NetworkStats::dropped, 1);
     return Status::Unavailable("destination machine is down");
   }
   if (injector_ != nullptr) {
@@ -233,7 +201,7 @@ Status Fabric::Call(MachineId src, MachineId dst, HandlerId id, Slice payload,
     // exactly as if the request (or its response) was lost.
     Status injected = injector_->OnCall(src, dst, id);
     if (!injected.ok()) {
-      stats_.injected_call_failures.fetch_add(1, std::memory_order_relaxed);
+      Count(&NetworkStats::injected_call_failures, 1);
       MaybeTriggerCrashes(src, dst);
       return injected;
     }
@@ -242,7 +210,7 @@ Status Fabric::Call(MachineId src, MachineId dst, HandlerId id, Slice payload,
       // A straggler call: the caller blocks for `delay` simulated micros
       // before the handler runs. Charge the wait to the caller's CPU meter
       // and to the request's deadline budget.
-      stats_.injected_call_delays.fetch_add(1, std::memory_order_relaxed);
+      Count(&NetworkStats::injected_call_delays, 1);
       if (src >= 0 && src < num_machines_) AddCpuMicros(src, delay);
       if (ctx != nullptr) {
         if (ctx->has_deadline() && delay >= ctx->remaining_micros()) {
@@ -270,7 +238,7 @@ Status Fabric::Call(MachineId src, MachineId dst, HandlerId id, Slice payload,
     AccountTransfer(src, dst, payload.size() + params_.frame_overhead_bytes,
                     1);
   } else {
-    stats_.local_messages.fetch_add(1, std::memory_order_relaxed);
+    Count(&NetworkStats::local_messages, 1);
   }
   Status s;
   {
@@ -319,7 +287,7 @@ void Fabric::FlushPairLocked(MachineId src, MachineId dst, bool force) {
   if (buf.messages.empty()) return;
   if (!force && injector_ != nullptr && injector_->DelayFlush(src, dst)) {
     // Injected delay: the buffer stays queued until the next FlushAll.
-    stats_.delayed_flushes.fetch_add(1, std::memory_order_relaxed);
+    Count(&NetworkStats::delayed_flushes, 1);
     return;
   }
   std::vector<PackedMessage> batch = std::move(buf.messages);
@@ -328,7 +296,7 @@ void Fabric::FlushPairLocked(MachineId src, MachineId dst, bool force) {
   buf.bytes = 0;
   const bool alive = machine_up_[dst].load(std::memory_order_acquire);
   if (!alive) {
-    stats_.dropped.fetch_add(batch.size(), std::memory_order_relaxed);
+    Count(&NetworkStats::dropped, batch.size());
     return;
   }
   mu_.unlock();
@@ -344,7 +312,7 @@ void Fabric::Deliver(MachineId src, MachineId dst, HandlerId id,
   AsyncHandler handler;
   {
     if (!machine_up_[dst].load(std::memory_order_acquire)) {
-      stats_.dropped.fetch_add(1, std::memory_order_relaxed);
+      Count(&NetworkStats::dropped, 1);
       return;
     }
     std::lock_guard<std::mutex> lock(mu_);
@@ -361,14 +329,11 @@ void Fabric::Deliver(MachineId src, MachineId dst, HandlerId id,
 
 void Fabric::AccountTransfer(MachineId src, MachineId dst, std::size_t bytes,
                              std::size_t transfer_count) {
-  stats_.transfers.fetch_add(transfer_count, std::memory_order_relaxed);
-  stats_.bytes.fetch_add(bytes, std::memory_order_relaxed);
-  traffic_bytes_out_[src].fetch_add(bytes, std::memory_order_relaxed);
-  traffic_bytes_in_[dst].fetch_add(bytes, std::memory_order_relaxed);
-  traffic_transfers_out_[src].fetch_add(transfer_count,
-                                        std::memory_order_relaxed);
-  traffic_transfers_in_[dst].fetch_add(transfer_count,
-                                       std::memory_order_relaxed);
+  Charge([&](Meters& m) { m.AddTransfer(src, dst, bytes, transfer_count); });
+}
+
+void Fabric::Count(Meters::Counter counter, std::uint64_t n) {
+  Charge([&](Meters& m) { m.Add(counter, n); });
 }
 
 void Fabric::SetFaultInjector(FaultInjector* injector) {
@@ -387,7 +352,7 @@ void Fabric::MaybeTriggerCrashes(MachineId src, MachineId dst) {
     // exchange() makes the down-transition race-free: exactly one caller
     // observes true→false and fires the listener.
     const bool fired = machine_up_[m].exchange(false, std::memory_order_acq_rel);
-    if (fired) stats_.injected_crashes.fetch_add(1, std::memory_order_relaxed);
+    if (fired) Count(&NetworkStats::injected_crashes, 1);
     // The listener runs outside mu_ so it may call back into the fabric
     // (e.g. the memory cloud dropping the crashed machine's storage).
     if (fired && crash_listener_) crash_listener_(m);
@@ -409,83 +374,59 @@ bool Fabric::IsMachineUp(MachineId machine) const {
 }
 
 void Fabric::AddCpuMicros(MachineId machine, double micros) {
-  cpu_micros_[machine].fetch_add(micros, std::memory_order_relaxed);
+  Charge([&](Meters& m) { m.AddCpuMicros(machine, micros); });
 }
 
-double Fabric::cpu_micros(MachineId machine) const {
-  return cpu_micros_[machine].load(std::memory_order_relaxed);
+// ------------------------------------------------------------------ Meters
+
+void Meters::Add(Counter counter, std::uint64_t n) {
+  static constexpr NetworkStats kLayout{};
+  const std::ptrdiff_t offset =
+      reinterpret_cast<const char*>(&(kLayout.*counter)) -
+      reinterpret_cast<const char*>(&kLayout);
+  totals_[offset / sizeof(std::uint64_t)].fetch_add(
+      n, std::memory_order_relaxed);
 }
 
-double Fabric::MaxCpuMicros() const {
+void Meters::AddTransfer(MachineId src, MachineId dst, std::uint64_t bytes,
+                         std::uint64_t transfers) {
+  Add(&NetworkStats::transfers, transfers);
+  Add(&NetworkStats::bytes, bytes);
+  machines_[src].bytes_out.fetch_add(bytes, std::memory_order_relaxed);
+  machines_[src].transfers_out.fetch_add(transfers, std::memory_order_relaxed);
+  machines_[dst].bytes_in.fetch_add(bytes, std::memory_order_relaxed);
+  machines_[dst].transfers_in.fetch_add(transfers, std::memory_order_relaxed);
+}
+
+void Meters::AddCpuMicros(MachineId machine, double micros) {
+  machines_[machine].cpu_micros.fetch_add(micros, std::memory_order_relaxed);
+}
+
+void Meters::Reset() {
+  for (auto& total : totals_) total.store(0, std::memory_order_relaxed);
+  for (Machine& m : machines_) {
+    m.cpu_micros.store(0.0, std::memory_order_relaxed);
+    m.bytes_in.store(0, std::memory_order_relaxed);
+    m.bytes_out.store(0, std::memory_order_relaxed);
+    m.transfers_in.store(0, std::memory_order_relaxed);
+    m.transfers_out.store(0, std::memory_order_relaxed);
+  }
+}
+
+NetworkStats Meters::Snapshot() const {
+  std::array<std::uint64_t, std::tuple_size_v<decltype(totals_)>> words;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    words[i] = totals_[i].load(std::memory_order_relaxed);
+  }
+  return std::bit_cast<NetworkStats>(words);
+}
+
+double Meters::MaxCpuMicros() const {
   double max = 0.0;
-  for (int m = 0; m < num_machines_; ++m) {
-    max = std::max(max, cpu_micros_[m].load(std::memory_order_relaxed));
+  for (const Machine& m : machines_) {
+    max = std::max(max, m.cpu_micros.load(std::memory_order_relaxed));
   }
   return max;
-}
-
-NetworkStats Fabric::stats() const {
-  // Lock-free snapshot; fields may be mutually inconsistent for an instant,
-  // which is fine for meters read at phase boundaries.
-  NetworkStats out;
-  out.messages = stats_.messages.load(std::memory_order_relaxed);
-  out.transfers = stats_.transfers.load(std::memory_order_relaxed);
-  out.bytes = stats_.bytes.load(std::memory_order_relaxed);
-  out.sync_calls = stats_.sync_calls.load(std::memory_order_relaxed);
-  out.local_messages = stats_.local_messages.load(std::memory_order_relaxed);
-  out.dropped = stats_.dropped.load(std::memory_order_relaxed);
-  out.injected_drops = stats_.injected_drops.load(std::memory_order_relaxed);
-  out.injected_duplicates =
-      stats_.injected_duplicates.load(std::memory_order_relaxed);
-  out.injected_call_failures =
-      stats_.injected_call_failures.load(std::memory_order_relaxed);
-  out.injected_crashes =
-      stats_.injected_crashes.load(std::memory_order_relaxed);
-  out.delayed_flushes =
-      stats_.delayed_flushes.load(std::memory_order_relaxed);
-  out.injected_call_delays =
-      stats_.injected_call_delays.load(std::memory_order_relaxed);
-  return out;
-}
-
-PerMachineTraffic Fabric::traffic() const {
-  PerMachineTraffic out;
-  const std::size_t n = static_cast<std::size_t>(num_machines_);
-  out.bytes_in.resize(n);
-  out.bytes_out.resize(n);
-  out.transfers_in.resize(n);
-  out.transfers_out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.bytes_in[i] = traffic_bytes_in_[i].load(std::memory_order_relaxed);
-    out.bytes_out[i] = traffic_bytes_out_[i].load(std::memory_order_relaxed);
-    out.transfers_in[i] =
-        traffic_transfers_in_[i].load(std::memory_order_relaxed);
-    out.transfers_out[i] =
-        traffic_transfers_out_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void Fabric::ResetMeters() {
-  stats_.messages.store(0, std::memory_order_relaxed);
-  stats_.transfers.store(0, std::memory_order_relaxed);
-  stats_.bytes.store(0, std::memory_order_relaxed);
-  stats_.sync_calls.store(0, std::memory_order_relaxed);
-  stats_.local_messages.store(0, std::memory_order_relaxed);
-  stats_.dropped.store(0, std::memory_order_relaxed);
-  stats_.injected_drops.store(0, std::memory_order_relaxed);
-  stats_.injected_duplicates.store(0, std::memory_order_relaxed);
-  stats_.injected_call_failures.store(0, std::memory_order_relaxed);
-  stats_.injected_crashes.store(0, std::memory_order_relaxed);
-  stats_.delayed_flushes.store(0, std::memory_order_relaxed);
-  stats_.injected_call_delays.store(0, std::memory_order_relaxed);
-  for (int m = 0; m < num_machines_; ++m) {
-    cpu_micros_[m].store(0.0, std::memory_order_relaxed);
-    traffic_bytes_in_[m].store(0, std::memory_order_relaxed);
-    traffic_bytes_out_[m].store(0, std::memory_order_relaxed);
-    traffic_transfers_in_[m].store(0, std::memory_order_relaxed);
-    traffic_transfers_out_[m].store(0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace trinity::net

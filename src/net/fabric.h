@@ -1,6 +1,7 @@
 #ifndef TRINITY_NET_FABRIC_H_
 #define TRINITY_NET_FABRIC_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -14,11 +15,54 @@
 #include "common/histogram.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "common/threadpool.h"
 #include "common/types.h"
 #include "net/fault_injector.h"
 #include "net/network_stats.h"
 
 namespace trinity::net {
+
+/// Relaxed-atomic cost meters: the NetworkStats totals plus, per machine,
+/// the CPU microseconds spent and the bytes and transfers crossing its NIC
+/// (everything CostModel prices). The fabric keeps one cumulative instance;
+/// each run keeps its own (RunMeters).
+class Meters {
+ public:
+  /// One NetworkStats total, e.g. &NetworkStats::dropped.
+  using Counter = std::uint64_t NetworkStats::*;
+
+  explicit Meters(int num_machines) : machines_(num_machines) {}
+
+  int num_machines() const { return static_cast<int>(machines_.size()); }
+
+  void Add(Counter counter, std::uint64_t n);
+  /// `transfers` physical transfers totalling `bytes` on the src→dst wire.
+  void AddTransfer(MachineId src, MachineId dst, std::uint64_t bytes,
+                   std::uint64_t transfers);
+  void AddCpuMicros(MachineId machine, double micros);
+  void Reset();
+
+  /// One machine's meters. Atomics value-initialize to zero.
+  struct Machine {
+    std::atomic<double> cpu_micros;
+    std::atomic<std::uint64_t> bytes_in, bytes_out, transfers_in, transfers_out;
+  };
+
+  /// Reads are relaxed: fields may be mutually inconsistent for an instant,
+  /// which is fine for meters read at phase boundaries.
+  NetworkStats Snapshot() const;
+  const Machine& machine(MachineId m) const { return machines_[m]; }
+  /// Max CPU meter across machines — the modeled critical path.
+  double MaxCpuMicros() const;
+
+ private:
+  /// Every NetworkStats field is a uint64_t total, so the struct is an
+  /// array of words and a Counter's member offset names its slot.
+  std::array<std::atomic<std::uint64_t>,
+             sizeof(NetworkStats) / sizeof(std::uint64_t)>
+      totals_{};
+  std::vector<Machine> machines_;
+};
 
 /// The simulated cluster interconnect: Trinity's message passing framework
 /// ("an efficient, one-sided, machine-to-machine message passing
@@ -148,16 +192,13 @@ class Fabric {
   /// metered automatically; compute engines additionally meter their local
   /// per-partition work through this.
   void AddCpuMicros(MachineId machine, double micros);
-  double cpu_micros(MachineId machine) const;
-  /// Max CPU meter across machines — the modeled critical path.
-  double MaxCpuMicros() const;
 
-  NetworkStats stats() const;
-  PerMachineTraffic traffic() const;
-
-  /// Clears the traffic + CPU meters (not the handlers). Engines call this
-  /// at phase boundaries so the cost model sees one phase at a time.
-  void ResetMeters();
+  /// Cumulative meters: every charge since construction or ResetMeters().
+  /// A run prices its own RunMeters instead.
+  const Meters& meters() const { return meters_; }
+  NetworkStats stats() const { return meters_.Snapshot(); }
+  /// Clears the cumulative meters (not the handlers or any run's meters).
+  void ResetMeters() { meters_.Reset(); }
 
   /// RAII CPU meter: measures the enclosed scope and charges it to machine.
   class MeterScope {
@@ -188,6 +229,12 @@ class Fabric {
   HandlerId AcquireHandlerId();
   void ReleaseHandlerId(HandlerId id);
 
+  /// What SendAsync and SendPacked share: charge the messages, refuse a
+  /// down endpoint, apply the injector, deliver locally. Sets *copies to the
+  /// copies left for the wire; 0 when the send ended with the status.
+  Status StartSend(MachineId src, MachineId dst, HandlerId id, Slice payload,
+                   std::uint64_t message_count, int* copies);
+
   int PairIndex(MachineId src, MachineId dst) const {
     return src * num_machines_ + dst;
   }
@@ -201,36 +248,27 @@ class Fabric {
   /// src→dst wire.
   void AccountTransfer(MachineId src, MachineId dst, std::size_t bytes,
                        std::size_t transfer_count);
+  void Count(Meters::Counter counter, std::uint64_t n);
+  /// Applies one charge to the cumulative meters and to the calling
+  /// thread's run meter, when that meters this fabric (a run meter is sized
+  /// for the fabric it runs on).
+  template <typename Fn>
+  void Charge(Fn&& charge) {
+    charge(meters_);
+    Meters* run = current_run_meter;
+    if (run != nullptr && run->num_machines() == num_machines_) charge(*run);
+  }
   /// Charges one completed message against the injector's crash schedules
   /// and executes any crash that fires. Must be called without mu_ held.
   void MaybeTriggerCrashes(MachineId src, MachineId dst);
-
-  /// Internal atomic mirror of NetworkStats: every hot-path send bumps these
-  /// with relaxed ops instead of taking mu_, so instrumentation no longer
-  /// serializes concurrent readers. stats() snapshots them into the plain
-  /// struct callers already consume.
-  struct AtomicNetworkStats {
-    std::atomic<std::uint64_t> messages{0};
-    std::atomic<std::uint64_t> transfers{0};
-    std::atomic<std::uint64_t> bytes{0};
-    std::atomic<std::uint64_t> sync_calls{0};
-    std::atomic<std::uint64_t> local_messages{0};
-    std::atomic<std::uint64_t> dropped{0};
-    std::atomic<std::uint64_t> injected_drops{0};
-    std::atomic<std::uint64_t> injected_duplicates{0};
-    std::atomic<std::uint64_t> injected_call_failures{0};
-    std::atomic<std::uint64_t> injected_crashes{0};
-    std::atomic<std::uint64_t> delayed_flushes{0};
-    std::atomic<std::uint64_t> injected_call_delays{0};
-  };
 
   const int num_machines_;
   const Params params_;
   FaultInjector* injector_ = nullptr;
   std::function<void(MachineId)> crash_listener_;
 
-  /// mu_ still guards the structural state: handler maps, pack buffers, and
-  /// the injector/listener hooks. Liveness flags and all meters are atomics.
+  /// mu_ guards the structural state: handler maps, pack buffers, and the
+  /// injector/listener hooks. Liveness flags and all meters are atomics.
   mutable std::mutex mu_;
   std::vector<std::unordered_map<HandlerId, AsyncHandler>> async_handlers_;
   std::vector<std::unordered_map<HandlerId, SyncHandler>> sync_handlers_;
@@ -238,12 +276,25 @@ class Fabric {
   std::vector<HandlerId> free_handler_ids_;
   HandlerId next_handler_id_ = kFirstLeasedHandler;
   std::unique_ptr<std::atomic<bool>[]> machine_up_;
-  std::unique_ptr<std::atomic<double>[]> cpu_micros_;
-  AtomicNetworkStats stats_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> traffic_bytes_in_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> traffic_bytes_out_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> traffic_transfers_in_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> traffic_transfers_out_;
+  Meters meters_;
+};
+
+/// A run's own Meters. For its lifetime it is the calling thread's run
+/// meter: ThreadPool carries it into the tasks the run submits, and every
+/// charge the fabric makes on those threads lands on both the fabric's
+/// cumulative meters and this ledger. Concurrent runs thus price only their
+/// own work, and nobody resets shared counters. Runs nest; a charge goes to
+/// the innermost run only.
+class RunMeters : public Meters {
+ public:
+  explicit RunMeters(const Fabric& fabric)
+      : Meters(fabric.num_machines()), enclosing_(current_run_meter) {
+    current_run_meter = this;
+  }
+  ~RunMeters() { current_run_meter = enclosing_; }
+
+ private:
+  Meters* const enclosing_;
 };
 
 }  // namespace trinity::net

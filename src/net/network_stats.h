@@ -2,7 +2,6 @@
 #define TRINITY_NET_NETWORK_STATS_H_
 
 #include <cstdint>
-#include <vector>
 
 namespace trinity::net {
 
@@ -52,15 +51,6 @@ struct RecoveryStats {
   std::uint64_t fenced_writes = 0;
   /// Trunks reloaded from TFS because *every* in-memory replica was lost.
   std::uint64_t tfs_fallback_reloads = 0;
-};
-
-/// Per-machine traffic view used by the cost model: a machine's modeled
-/// communication time depends on the bytes and transfers crossing *its* NIC.
-struct PerMachineTraffic {
-  std::vector<std::uint64_t> bytes_in;
-  std::vector<std::uint64_t> bytes_out;
-  std::vector<std::uint64_t> transfers_in;
-  std::vector<std::uint64_t> transfers_out;
 };
 
 }  // namespace trinity::net

@@ -119,15 +119,15 @@ Status RdfStore::ScanLocal(MachineId machine, const EntityVisitor& visit) {
 Status SparqlQueries::RunParallelScan(
     const std::function<Status(MachineId)>& body, QueryStats* stats) {
   net::Fabric& fabric = store_->cloud()->fabric();
-  fabric.ResetMeters();
+  net::RunMeters scan(fabric);
   for (MachineId m = 0; m < store_->cloud()->num_slaves(); ++m) {
     net::Fabric::MeterScope meter(fabric, m);
     Status s = body(m);
     if (!s.ok()) return s;
   }
   fabric.FlushAll();
-  stats->modeled_millis += cost_model_.PhaseSeconds(fabric) * 1000.0;
-  stats->remote_lookups += fabric.stats().sync_calls;
+  stats->modeled_millis += cost_model_.PhaseSeconds(scan) * 1000.0;
+  stats->remote_lookups += scan.Snapshot().sync_calls;
   return Status::OK();
 }
 

@@ -219,14 +219,24 @@ TEST(SpinLockTest, TryLockReflectsState) {
   lock.Unlock();
 }
 
+// A one-thread pool starts no worker: its tasks run inline on the caller.
 TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&done] { done.fetch_add(1); });
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ThreadPool pool(threads);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> done{0};
+    std::atomic<int> on_caller{0};
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&] {
+        done.fetch_add(1);
+        if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+      });
+    }
+    pool.WaitIdle();
+    EXPECT_EQ(done.load(), 100);
+    EXPECT_EQ(on_caller.load(), threads == 1 ? 100 : 0);
   }
-  pool.WaitIdle();
-  EXPECT_EQ(done.load(), 100);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRange) {
@@ -262,16 +272,19 @@ TEST(ThreadPoolTest, ParallelForSingleItemRunsInline) {
 TEST(ThreadPoolTest, NestedSubmitDuringWaitIdle) {
   // A task submitted from inside a task must complete before WaitIdle
   // returns — the barrier covers transitively spawned work.
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&] {
-      done.fetch_add(1);
-      pool.Submit([&] { done.fetch_add(1); });
-    });
+  for (int threads : {1, 3}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ThreadPool pool(threads);
+    std::atomic<int> done{0};
+    for (int i = 0; i < 10; ++i) {
+      pool.Submit([&] {
+        done.fetch_add(1);
+        pool.Submit([&] { done.fetch_add(1); });
+      });
+    }
+    pool.WaitIdle();
+    EXPECT_EQ(done.load(), 20);
   }
-  pool.WaitIdle();
-  EXPECT_EQ(done.load(), 20);
 }
 
 TEST(ThreadPoolTest, SplitWeightedBalancesSkewedCosts) {

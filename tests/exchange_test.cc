@@ -156,6 +156,9 @@ TEST(HandlerLeaseTest, DestroyedEnginesHandlersAreGone) {
 // ------------------------------------------- Two engines of one kind at once
 
 using Values = std::map<CellId, std::string>;
+// The traffic counters a run reports about itself: a run beside a twin must
+// report exactly what it reports alone.
+using Counters = std::vector<std::uint64_t>;
 
 BspEngine::Options PageRankOptions() {
   BspEngine::Options options;
@@ -171,7 +174,7 @@ BspEngine::Options PageRankOptions() {
   return options;
 }
 
-Values RunPageRank(BspEngine* engine) {
+Values RunPageRank(BspEngine* engine, Counters* counters) {
   BspEngine::RunStats stats;
   EXPECT_TRUE(engine
                   ->Run(
@@ -197,13 +200,17 @@ Values RunPageRank(BspEngine* engine) {
                       },
                       &stats)
                   .ok());
+  *counters = {static_cast<std::uint64_t>(stats.supersteps), stats.messages,
+               stats.transfers, stats.bytes};
   Values values;
   engine->ForEachValue(
       [&](CellId v, const std::string& value) { values[v] = value; });
   return values;
 }
 
-std::vector<std::set<CellId>> RunKHops(TraversalEngine* engine) {
+std::vector<std::set<CellId>> RunKHops(TraversalEngine* engine,
+                                       Counters* counters) {
+  counters->clear();
   std::vector<std::set<CellId>> reached;
   for (CellId start = 0; start < 24; ++start) {
     std::set<CellId> seen;
@@ -217,6 +224,9 @@ std::vector<std::set<CellId>> RunKHops(TraversalEngine* engine) {
                         },
                         &stats)
                     .ok());
+    counters->insert(counters->end(),
+                     {static_cast<std::uint64_t>(stats.rounds), stats.messages,
+                      stats.transfers, stats.visited});
     reached.push_back(std::move(seen));
   }
   return reached;
@@ -233,10 +243,12 @@ struct SnapshotResult {
   }
 };
 
-SnapshotResult BuildAndCount(graph::Graph* graph) {
+SnapshotResult BuildAndCount(graph::Graph* graph, Counters* counters) {
   SnapshotResult out;
   std::vector<analytics::GraphSnapshot> views;
-  EXPECT_TRUE(analytics::SnapshotBuilder::Build(graph, &views).ok());
+  analytics::SnapshotBuilder::BuildStats build;
+  EXPECT_TRUE(analytics::SnapshotBuilder::Build(graph, &views, &build).ok());
+  *counters = {build.exchange_messages, build.exchange_bytes};
   for (const analytics::GraphSnapshot& view : views) {
     EXPECT_TRUE(view.Validate().ok());
     out.ids.push_back(view.id_by_rank);
@@ -254,16 +266,20 @@ SnapshotResult BuildAndCount(graph::Graph* graph) {
 // Every engine leases its own handler id, so two of a kind run on one
 // cloud at the same time and each sees only its own deliveries. With one
 // fixed id per engine kind, the second registration took over the first
-// engine's deliveries.
+// engine's deliveries. Every run also prices its own meter, so its traffic
+// counters match its solo run's; with one global meter reset by each run,
+// the twins' counters raced.
 TEST(ExchangeTest, TwoEnginesOfOneKindRunConcurrentlyOnOneCloud) {
   Fixture f = NewGraph(4, 1024, 6.0, 21);
   graph::Graph* graph = f.graph.get();
 
+  Counters solo_bsp_counters, solo_khop_counters, solo_build_counters;
   BspEngine solo_bsp(graph, PageRankOptions());
-  const Values solo_ranks = RunPageRank(&solo_bsp);
+  const Values solo_ranks = RunPageRank(&solo_bsp, &solo_bsp_counters);
   TraversalEngine solo_traversal(graph);
-  const auto solo_reached = RunKHops(&solo_traversal);
-  const SnapshotResult solo_snapshot = BuildAndCount(graph);
+  const auto solo_reached = RunKHops(&solo_traversal, &solo_khop_counters);
+  const SnapshotResult solo_snapshot =
+      BuildAndCount(graph, &solo_build_counters);
   ASSERT_FALSE(solo_ranks.empty());
   ASSERT_GT(solo_snapshot.triangles, 0u);
 
@@ -276,10 +292,11 @@ TEST(ExchangeTest, TwoEnginesOfOneKindRunConcurrentlyOnOneCloud) {
     Values ranks[2];
     std::vector<std::set<CellId>> reached[2];
     SnapshotResult snapshot[2];
+    Counters bsp_counters[2], khop_counters[2], build_counters[2];
     auto work = [&](int i, BspEngine* bsp, TraversalEngine* traversal) {
-      ranks[i] = RunPageRank(bsp);
-      reached[i] = RunKHops(traversal);
-      snapshot[i] = BuildAndCount(graph);
+      ranks[i] = RunPageRank(bsp, &bsp_counters[i]);
+      reached[i] = RunKHops(traversal, &khop_counters[i]);
+      snapshot[i] = BuildAndCount(graph, &build_counters[i]);
     };
     std::thread a(work, 0, &bsp_a, &traversal_a);
     std::thread b(work, 1, &bsp_b, &traversal_b);
@@ -291,6 +308,9 @@ TEST(ExchangeTest, TwoEnginesOfOneKindRunConcurrentlyOnOneCloud) {
       EXPECT_EQ(ranks[i], solo_ranks);
       EXPECT_EQ(reached[i], solo_reached);
       EXPECT_TRUE(snapshot[i] == solo_snapshot);
+      EXPECT_EQ(bsp_counters[i], solo_bsp_counters);
+      EXPECT_EQ(khop_counters[i], solo_khop_counters);
+      EXPECT_EQ(build_counters[i], solo_build_counters);
     }
   }
 }

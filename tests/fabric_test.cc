@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/threadpool.h"
 #include "net/cost_model.h"
 #include "net/fault_injector.h"
 
@@ -207,11 +208,47 @@ TEST(FabricTest, MetersAccumulateAndReset) {
   Fabric fabric(2);
   fabric.AddCpuMicros(0, 150.0);
   fabric.AddCpuMicros(1, 50.0);
-  EXPECT_DOUBLE_EQ(fabric.cpu_micros(0), 150.0);
-  EXPECT_DOUBLE_EQ(fabric.MaxCpuMicros(), 150.0);
+  EXPECT_DOUBLE_EQ(fabric.meters().machine(0).cpu_micros.load(), 150.0);
+  EXPECT_DOUBLE_EQ(fabric.meters().MaxCpuMicros(), 150.0);
   fabric.ResetMeters();
-  EXPECT_DOUBLE_EQ(fabric.MaxCpuMicros(), 0.0);
+  EXPECT_DOUBLE_EQ(fabric.meters().MaxCpuMicros(), 0.0);
   EXPECT_EQ(fabric.stats().messages, 0u);
+}
+
+// A run's meters see only the charges made during its lifetime — on the
+// calling thread and in the pool tasks it submits — while the fabric's
+// cumulative meters see everything. A nested run takes the charges from its
+// parent.
+TEST(FabricTest, RunMeterChargesOnlyItsInnermostRun) {
+  Fabric fabric(2);
+  fabric.RegisterSyncHandler(1, 7, [](MachineId, Slice, std::string*) {
+    return Status::OK();
+  });
+  auto call = [&fabric] {
+    std::string response;
+    ASSERT_TRUE(fabric.Call(0, 1, 7, Slice("req"), &response).ok());
+  };
+  call();  // Outside any run.
+  {
+    RunMeters outer(fabric);
+    call();
+    fabric.AddCpuMicros(0, 10.0);
+    {
+      RunMeters inner(fabric);
+      call();
+      EXPECT_EQ(inner.Snapshot().sync_calls, 1u);
+    }
+    ThreadPool pool(2);
+    pool.ParallelFor(2, [&](int) { call(); });
+    EXPECT_EQ(outer.Snapshot().sync_calls, 3u);
+    EXPECT_EQ(outer.Snapshot().transfers, 6u);  // Request + response each.
+    EXPECT_EQ(outer.machine(0).transfers_out.load(), 3u);
+    EXPECT_EQ(outer.machine(1).transfers_in.load(), 3u);
+    EXPECT_GE(outer.machine(0).cpu_micros.load(), 10.0);
+  }
+  call();
+  EXPECT_EQ(fabric.stats().sync_calls, 6u);
+  EXPECT_EQ(current_run_meter, nullptr);
 }
 
 TEST(FabricTest, HandlerExecutionIsMetered) {
@@ -223,8 +260,8 @@ TEST(FabricTest, HandlerExecutionIsMetered) {
   });
   ASSERT_TRUE(fabric.SendAsync(0, 1, 7, Slice("work")).ok());
   fabric.FlushAll();
-  EXPECT_GT(fabric.cpu_micros(1), 0.0);
-  EXPECT_DOUBLE_EQ(fabric.cpu_micros(0), 0.0);
+  EXPECT_GT(fabric.meters().machine(1).cpu_micros.load(), 0.0);
+  EXPECT_DOUBLE_EQ(fabric.meters().machine(0).cpu_micros.load(), 0.0);
 }
 
 TEST(FabricTest, TrafficAttribution) {
@@ -236,11 +273,11 @@ TEST(FabricTest, TrafficAttribution) {
   fabric.SendAsync(0, 1, 7, Slice("x"));
   fabric.SendAsync(0, 2, 7, Slice("y"));
   fabric.FlushAll();
-  const PerMachineTraffic traffic = fabric.traffic();
-  EXPECT_EQ(traffic.transfers_out[0], 2u);
-  EXPECT_EQ(traffic.transfers_in[1], 1u);
-  EXPECT_EQ(traffic.transfers_in[2], 1u);
-  EXPECT_GT(traffic.bytes_out[0], 0u);
+  const Meters& traffic = fabric.meters();
+  EXPECT_EQ(traffic.machine(0).transfers_out.load(), 2u);
+  EXPECT_EQ(traffic.machine(1).transfers_in.load(), 1u);
+  EXPECT_EQ(traffic.machine(2).transfers_in.load(), 1u);
+  EXPECT_GT(traffic.machine(0).bytes_out.load(), 0u);
 }
 
 TEST(FabricTest, SendToDownMachineCountsDropped) {
@@ -468,9 +505,9 @@ TEST(CostModelTest, ComputeTermScalesWithCriticalPath) {
   params.cores_per_machine = 2.0;
   CostModel model(params);
   fabric.AddCpuMicros(0, 2e6);  // 2 seconds of single-core work.
-  EXPECT_NEAR(model.ComputeSeconds(fabric), 1.0, 1e-9);
+  EXPECT_NEAR(model.ComputeSeconds(fabric.meters()), 1.0, 1e-9);
   fabric.AddCpuMicros(1, 1e6);  // Below the max: no change.
-  EXPECT_NEAR(model.ComputeSeconds(fabric), 1.0, 1e-9);
+  EXPECT_NEAR(model.ComputeSeconds(fabric.meters()), 1.0, 1e-9);
 }
 
 TEST(CostModelTest, CommTermScalesWithBytes) {
@@ -479,19 +516,19 @@ TEST(CostModelTest, CommTermScalesWithBytes) {
   Fabric fabric(2, fparams);
   fabric.RegisterAsyncHandler(1, 7, [](MachineId, Slice) {});
   CostModel model;
-  const double before = model.CommSeconds(fabric);
+  const double before = model.CommSeconds(fabric.meters());
   fabric.SendAsync(0, 1, 7, Slice(std::string(100000, 'b')));
   fabric.FlushAll();
-  EXPECT_GT(model.CommSeconds(fabric), before);
+  EXPECT_GT(model.CommSeconds(fabric.meters()), before);
 }
 
 TEST(CostModelTest, PhaseIsComputePlusComm) {
   Fabric fabric(2);
   CostModel model;
   fabric.AddCpuMicros(0, 1e6);
+  const Meters& meters = fabric.meters();
   EXPECT_NEAR(model.PhaseSeconds(fabric),
-              model.ComputeSeconds(fabric) + model.CommSeconds(fabric),
-              1e-12);
+              model.ComputeSeconds(meters) + model.CommSeconds(meters), 1e-12);
 }
 
 // --- Straggler (injected call delay) tests --------------------------------
@@ -514,7 +551,7 @@ TEST(FaultInjectorTest, CallDelayChargesCallerCpuAndDeadline) {
   std::string response;
   ASSERT_TRUE(fabric.Call(0, 1, 7, Slice("req"), &response, &ctx).ok());
   EXPECT_TRUE(handler_ran);  // Delay slows the call, doesn't kill it.
-  EXPECT_GE(fabric.cpu_micros(0), 500.0);
+  EXPECT_GE(fabric.meters().machine(0).cpu_micros.load(), 500.0);
   EXPECT_GE(ctx.consumed_micros(), 500.0);
   EXPECT_EQ(fabric.stats().injected_call_delays, 1u);
   const FaultInjector::Stats stats = injector.stats();

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <map>
 
+#include "cloud/addressing_table.h"
 #include "cloud/memory_cloud.h"
 #include "common/random.h"
 #include "compute/packed_messages.h"
@@ -17,6 +18,7 @@
 #include "storage/cell_codec.h"
 #include "tfs/tfs.h"
 #include "tsl/cell_accessor.h"
+#include "txn/txn.h"
 
 namespace trinity {
 namespace {
@@ -375,6 +377,32 @@ TEST_P(CellCodecFuzzTest, RoundTripsAndNeverCrashesOnGarbage) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CellCodecFuzzTest,
                          ::testing::Values(5, 55, 555));
 
+// ------------------------------------------------ Decoder mutation sweep
+
+// What every decoder fuzz case feeds its decoder besides a valid image: the
+// image cut at a random point (possibly not at all), the image with 1-4
+// flipped bits, and random garbage of fewer than max_garbage bytes.
+struct Mutants {
+  std::string cut;
+  std::string flipped;
+  std::string garbage;
+};
+
+Mutants Mutate(Random& rng, const std::string& image,
+               std::size_t max_garbage) {
+  Mutants m;
+  m.cut = image.substr(0, rng.Uniform(image.size() + 1));
+  m.flipped = image.empty() ? std::string(1, '\0') : image;
+  for (int flips = 1 + static_cast<int>(rng.Uniform(4)); flips > 0;
+       --flips) {
+    m.flipped[rng.Uniform(m.flipped.size())] ^=
+        static_cast<char>(1u << rng.Uniform(8));
+  }
+  m.garbage.resize(rng.Uniform(max_garbage));
+  for (char& c : m.garbage) c = static_cast<char>(rng.Uniform(256));
+  return m;
+}
+
 // ------------------------------------------------ Packed record fuzz
 
 class PackedRecordFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -430,10 +458,10 @@ TEST_P(PackedRecordFuzzTest, RoundTripsAndNeverReadsPastThePayload) {
 
     // Truncation: exactly the records wholly before the cut survive, and
     // the verdict is false unless the cut falls on a record boundary.
-    const std::string cut = buf.substr(0, rng.Uniform(buf.size() + 1));
-    const bool cut_ok = DecodeChecked(cut, &decoded, &reencoded);
-    ASSERT_EQ(cut.compare(0, reencoded.size(), reencoded), 0);
-    ASSERT_EQ(cut_ok, reencoded.size() == cut.size());
+    const Mutants m = Mutate(rng, buf, 96);
+    const bool cut_ok = DecodeChecked(m.cut, &decoded, &reencoded);
+    ASSERT_EQ(m.cut.compare(0, reencoded.size(), reencoded), 0);
+    ASSERT_EQ(cut_ok, reencoded.size() == m.cut.size());
     ASSERT_LE(decoded.size(), records.size());
     for (std::size_t i = 0; i < decoded.size(); ++i) {
       ASSERT_EQ(decoded[i], records[i]);
@@ -442,15 +470,7 @@ TEST_P(PackedRecordFuzzTest, RoundTripsAndNeverReadsPastThePayload) {
     // Bit flips (often in a length field) and pure garbage: the decoded
     // records re-encode to a prefix of the input — the whole input iff
     // the decoder accepted it.
-    std::string mutated = buf.empty() ? std::string(1, '\0') : buf;
-    for (int flips = 1 + static_cast<int>(rng.Uniform(4)); flips > 0;
-         --flips) {
-      mutated[rng.Uniform(mutated.size())] ^=
-          static_cast<char>(1u << rng.Uniform(8));
-    }
-    std::string garbage(rng.Uniform(96), '\0');
-    for (char& c : garbage) c = static_cast<char>(rng.Uniform(256));
-    for (const std::string* input : {&mutated, &garbage}) {
+    for (const std::string* input : {&m.flipped, &m.garbage}) {
       const bool ok = DecodeChecked(*input, &decoded, &reencoded);
       ASSERT_EQ(input->compare(0, reencoded.size(), reencoded), 0);
       ASSERT_EQ(ok, reencoded.size() == input->size());
@@ -460,6 +480,131 @@ TEST_P(PackedRecordFuzzTest, RoundTripsAndNeverReadsPastThePayload) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PackedRecordFuzzTest,
                          ::testing::Values(3, 33, 333));
+
+// ------------------------------------------- Addressing table image fuzz
+
+class AddressingTableFuzzTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Decodes from an exact-size heap copy, so ASan sees any read past the end.
+Status DecodeTable(const std::string& bytes, cloud::AddressingTable* out) {
+  const std::vector<char> copy(bytes.begin(), bytes.end());
+  return cloud::AddressingTable::Deserialize(Slice(copy.data(), copy.size()),
+                                             out);
+}
+
+// Random tables (moved trunks, replica sets) round-trip exactly. A strict
+// prefix of an image is rejected; a bit-flipped or garbage image is either
+// rejected or decodes to a table whose own image prefixes the input.
+TEST_P(AddressingTableFuzzTest, RoundTripsAndNeverCrashesOnGarbage) {
+  Random rng(GetParam());
+  for (int iter = 0; iter < 1000; ++iter) {
+    const int machines = 1 + static_cast<int>(rng.Uniform(8));
+    // 2^p_bits slots, at least one per machine.
+    const int p_bits = 3 + static_cast<int>(rng.Uniform(4));
+    cloud::AddressingTable table(p_bits, machines);
+    for (int k = static_cast<int>(rng.Uniform(24)); k > 0; --k) {
+      const auto trunk = static_cast<TrunkId>(rng.Uniform(table.num_slots()));
+      const auto machine = static_cast<MachineId>(rng.Uniform(machines));
+      if (rng.Bernoulli(0.5)) {
+        table.MoveTrunk(trunk, machine);
+      } else {
+        table.AddReplica(trunk, machine);
+      }
+    }
+    const std::string image = table.Serialize();
+    cloud::AddressingTable decoded(0, 1);
+    ASSERT_TRUE(DecodeTable(image, &decoded).ok());
+    ASSERT_TRUE(decoded == table);
+    ASSERT_EQ(decoded.version(), table.version());
+    ASSERT_EQ(decoded.Serialize(), image);
+
+    const Mutants m = Mutate(rng, image, 256);
+    ASSERT_EQ(DecodeTable(m.cut, &decoded).ok(), m.cut == image);
+    for (const std::string* input : {&m.flipped, &m.garbage}) {
+      if (!DecodeTable(*input, &decoded).ok()) continue;
+      const std::string reencoded = decoded.Serialize();
+      ASSERT_EQ(input->compare(0, reencoded.size(), reencoded), 0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AddressingTableFuzzTest,
+                         ::testing::Values(4, 44, 444));
+
+// ------------------------------------------------ Versioned cell fuzz
+
+class VersionedCellFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+Status DecodeVersioned(const std::string& bytes, txn::VersionedCell* out) {
+  const std::vector<char> copy(bytes.begin(), bytes.end());
+  return txn::CellCodec::Decode(Slice(copy.data(), copy.size()), out);
+}
+
+// Random versioned cells round-trip exactly. A payload without the magic
+// byte is a legacy value; a strict prefix of a versioned image is
+// Corruption; a mutated versioned image is Corruption or a cell whose own
+// encoding decodes back to itself.
+TEST_P(VersionedCellFuzzTest, RoundTripsAndNeverCrashesOnGarbage) {
+  Random rng(GetParam());
+  auto random_bytes = [&rng] {
+    std::string out(rng.Uniform(48), '\0');
+    for (char& c : out) c = static_cast<char>(rng.Uniform(256));
+    return out;
+  };
+  for (int iter = 0; iter < 2000; ++iter) {
+    txn::VersionedCell cell;
+    cell.version = rng.Next();
+    cell.exists = rng.Bernoulli(0.7);
+    if (cell.exists) cell.value = random_bytes();
+    cell.has_intent = rng.Bernoulli(0.5);
+    if (cell.has_intent) {
+      cell.intent_txn = rng.Next();
+      cell.intent_remove = rng.Bernoulli(0.3);
+      if (!cell.intent_remove) cell.intent_value = random_bytes();
+    }
+    const std::string image = txn::CellCodec::Encode(cell);
+    txn::VersionedCell decoded;
+    ASSERT_TRUE(DecodeVersioned(image, &decoded).ok());
+    ASSERT_EQ(decoded.version, cell.version);
+    ASSERT_EQ(decoded.value, cell.value);
+    ASSERT_EQ(decoded.intent_value, cell.intent_value);
+    ASSERT_EQ(txn::CellCodec::Encode(decoded), image);
+
+    Mutants m = Mutate(rng, image, 96);
+    const Status cut = DecodeVersioned(m.cut, &decoded);
+    if (m.cut.empty() || m.cut == image) {
+      ASSERT_TRUE(cut.ok());
+    } else {
+      ASSERT_TRUE(cut.IsCorruption()) << cut.ToString();
+    }
+    if (!m.garbage.empty() && rng.Bernoulli(0.5)) {
+      m.garbage[0] = static_cast<char>(txn::CellCodec::kMagic);
+    }
+    for (const std::string* input : {&m.flipped, &m.garbage}) {
+      const Status s = DecodeVersioned(*input, &decoded);
+      if (input->empty() || static_cast<std::uint8_t>((*input)[0]) !=
+                                txn::CellCodec::kMagic) {
+        ASSERT_TRUE(s.ok());
+        ASSERT_EQ(decoded.version, txn::CellCodec::kLegacyVersion);
+        ASSERT_EQ(decoded.value, *input);
+        continue;
+      }
+      if (!s.ok()) {
+        ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+        continue;
+      }
+      const std::string reencoded = txn::CellCodec::Encode(decoded);
+      txn::VersionedCell again;
+      ASSERT_TRUE(DecodeVersioned(reencoded, &again).ok());
+      ASSERT_EQ(txn::CellCodec::Encode(again), reencoded);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, VersionedCellFuzzTest,
+                         ::testing::Values(6, 66, 666));
 
 }  // namespace
 }  // namespace trinity

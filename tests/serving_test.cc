@@ -26,6 +26,7 @@
 #include "common/call_context.h"
 #include "common/retry.h"
 #include "common/status.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "net/fault_injector.h"
 #include "serving/query_frontend.h"
@@ -438,6 +439,63 @@ TEST(QueryFrontendTest, KHopAndTqlWithDeadline) {
   tql.deadline_micros = 0.001;
   EXPECT_TRUE(frontend.Execute(tql, &response).IsDeadlineExceeded())
       << response.status.ToString();
+}
+
+// k-hop and TQL requests run concurrently through one frontend: each query
+// leases its own handler id and prices its own meter, so four threads issuing
+// both at once get exactly the single-threaded answers.
+TEST(QueryFrontendTest, ConcurrentTraversalsMatchSingleThreadedAnswers) {
+  ServingCluster c = NewServingCluster(9);
+  graph::Graph graph(c.cloud.get());
+  ASSERT_TRUE(graph::Generators::LoadRmat(&graph, 512, 4.0, 9).ok());
+  QueryFrontend frontend(c.cloud.get(), &graph, QueryFrontend::Options());
+  constexpr CellId kStarts = 16;
+  auto khop = [](CellId start) {
+    QueryFrontend::Request r;
+    r.type = QueryFrontend::RequestType::kKHop;
+    r.id = start;
+    r.hops = 2;
+    r.deadline_micros = 1e12;  // Sanitizer builds run slow; never shed.
+    return r;
+  };
+  auto tql = [](CellId start) {
+    QueryFrontend::Request r;
+    r.type = QueryFrontend::RequestType::kTql;
+    r.statement = "COUNT FROM " + std::to_string(start) + " HOPS 1..2";
+    r.deadline_micros = 1e12;
+    return r;
+  };
+  std::vector<std::uint64_t> visited(kStarts);
+  std::vector<std::vector<std::vector<std::string>>> rows(kStarts);
+  for (CellId s = 0; s < kStarts; ++s) {
+    QueryFrontend::Response response;
+    ASSERT_TRUE(frontend.Execute(khop(s), &response).ok());
+    visited[s] = response.visited;
+    ASSERT_TRUE(frontend.Execute(tql(s), &response).ok());
+    rows[s] = response.tql.rows;
+  }
+  ASSERT_GT(visited[0], 1u);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      for (CellId i = 0; i < kStarts; ++i) {
+        const CellId s = (i + 4 * t) % kStarts;  // Threads start apart.
+        QueryFrontend::Response response;
+        if (!frontend.Execute(khop(s), &response).ok() ||
+            response.visited != visited[s]) {
+          mismatches.fetch_add(1);
+        }
+        if (!frontend.Execute(tql(s), &response).ok() ||
+            response.tql.rows != rows[s]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // --- Chaos ----------------------------------------------------------------
