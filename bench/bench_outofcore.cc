@@ -126,8 +126,9 @@ RunResult RunConfig(const Config& config, const graph::Generators::EdgeList& edg
   r.stats = cloud->AggregateTrunkStats();
   r.khop_faults = r.stats.cells_faulted - faults_before;
   if (tfs != nullptr) {
-    r.tfs_bytes_written = tfs->bytes_written();
-    r.tfs_bytes_read = tfs->bytes_read();
+    const tfs::Tfs::Stats tfs_stats = tfs->stats();
+    r.tfs_bytes_written = tfs_stats.bytes_written;
+    r.tfs_bytes_read = tfs_stats.bytes_read;
   }
   cloud.reset();  // Before the TFS it points at.
   tfs.reset();

@@ -82,6 +82,14 @@ Status MemoryCloud::Init() {
                                &epoch).ok()) {
       snapshot_epoch_ = std::strtoull(epoch.c_str(), nullptr, 10);
     }
+    // Resume past every leader epoch an earlier incarnation fenced, so the
+    // next election claims a fresh flag instead of colliding with them.
+    const std::string flag_prefix = LeaderFlagPrefix();
+    for (const std::string& flag : options_.tfs->List(flag_prefix)) {
+      leader_epoch_ = std::max<std::uint64_t>(
+          leader_epoch_,
+          std::strtoull(flag.c_str() + flag_prefix.size(), nullptr, 10));
+    }
   }
   primary_table_ = AddressingTable(options_.p_bits, options_.num_slaves);
   if (replicated()) {
@@ -266,8 +274,7 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
             return Status::Corruption("replica apply trunk out of range");
           }
           if (epoch < machines_[m].table_replica.epoch_of_trunk(trunk_id)) {
-            recovery_stats_.fenced_writes.fetch_add(
-                1, std::memory_order_relaxed);
+            recovery_stats_.Add(&net::RecoveryStats::fenced_writes, 1);
             return Status::Aborted(
                 "fenced: replication epoch " + std::to_string(epoch) +
                     " is stale for trunk " + std::to_string(trunk_id),
@@ -368,8 +375,7 @@ void MemoryCloud::RegisterHandlers(MachineId m) {
           // The caller was deposed: a promotion moved the trunk (bumping
           // its epoch) after the caller last synced. It must not be allowed
           // to establish ack authority by shrinking the in-sync set.
-          recovery_stats_.fenced_writes.fetch_add(1,
-                                                  std::memory_order_relaxed);
+          recovery_stats_.Add(&net::RecoveryStats::fenced_writes, 1);
           return Status::Aborted("fenced: shrink from deposed primary",
                                  Status::Subcode::kFenced);
         }
@@ -432,31 +438,7 @@ storage::MemoryTrunk::Stats MemoryCloud::AggregateTrunkStats() const {
     if (!alive_[m].load(std::memory_order_acquire) || store == nullptr) {
       continue;
     }
-    const storage::MemoryTrunk::Stats s = store->AggregateTrunkStats();
-    total.live_cells += s.live_cells;
-    total.live_bytes += s.live_bytes;
-    total.reserved_slack += s.reserved_slack;
-    total.dead_bytes += s.dead_bytes;
-    total.used_bytes += s.used_bytes;
-    total.resident_bytes += s.resident_bytes;
-    total.committed_bytes += s.committed_bytes;
-    total.capacity += s.capacity;
-    total.defrag_passes += s.defrag_passes;
-    total.cells_moved += s.cells_moved;
-    total.expansions_in_place += s.expansions_in_place;
-    total.expansions_relocated += s.expansions_relocated;
-    total.compressed_cells += s.compressed_cells;
-    total.compressed_bytes += s.compressed_bytes;
-    total.spilled_cells += s.spilled_cells;
-    total.spilled_bytes += s.spilled_bytes;
-    total.cells_evicted += s.cells_evicted;
-    total.cells_faulted += s.cells_faulted;
-    total.cold_bytes_written += s.cold_bytes_written;
-    total.cold_bytes_read += s.cold_bytes_read;
-    total.shared_reads += s.shared_reads;
-    total.read_lock_contended += s.read_lock_contended;
-    total.write_lock_contended += s.write_lock_contended;
-    total.cell_lock_contended += s.cell_lock_contended;
+    Accumulate(&total, store->AggregateTrunkStats());
   }
   return total;
 }
@@ -639,7 +621,7 @@ Status MemoryCloud::TryReplicaRead(MachineId src, CellOp op, CellId id,
     if (s.IsRetryable()) continue;  // Next replica.
     // Definitive answer (OK / NotFound / error): the read was served.
     *served = true;
-    recovery_stats_.degraded_reads.fetch_add(1, std::memory_order_relaxed);
+    recovery_stats_.Add(&net::RecoveryStats::degraded_reads, 1);
     if (s.ok() && response != nullptr) *response = std::move(resp);
     return s;
   }
@@ -662,23 +644,35 @@ bool MemoryCloud::LogToBackup(MachineId primary, CellOp op, CellId id,
   // mutation commits locally (RAMCloud buffered logging). A backup crashing
   // mid-call or a transient injected failure must not leave the mutation
   // unlogged — that is exactly the window where an acknowledged write could
-  // be lost — so keep trying surviving backups. BackupOf re-evaluates
-  // liveness on every attempt, skipping backups that just died.
-  for (int attempt = 0; attempt < 2 * options_.num_slaves; ++attempt) {
+  // be lost — so keep trying surviving backups, up to twice around the
+  // cluster at a flat backoff. BackupOf re-evaluates liveness on every
+  // attempt, skipping backups that just died.
+  RetryPolicy policy = options_.retry;
+  policy.max_attempts = 2 * options_.num_slaves;
+  policy.backoff_multiplier = 1.0;
+  policy.jitter_fraction = 0.0;
+  RetryPolicy::RunHooks hooks;
+  hooks.charge = [&](double micros) {
+    fabric_->AddCpuMicros(primary, micros);
+  };
+  hooks.keep_trying = [&] { return BackupOf(primary) != kInvalidMachine; };
+  const Status logged = policy.Run(hooks, [&](int) -> Status {
     const MachineId backup = BackupOf(primary);
-    if (backup == kInvalidMachine) break;  // No surviving backup at all.
+    if (backup == kInvalidMachine) {
+      return Status::Unavailable("no surviving backup");
+    }
     std::string unused;
     Status s = fabric_->Call(primary, backup, kLogRecordHandler,
                              Slice(writer.buffer()), &unused);
-    if (s.ok()) {
-      // The backup may have crashed the instant after buffering the record
-      // (its log died with it); an ack from a now-dead backup protects
-      // nothing, so re-log to the next survivor.
-      if (fabric_->IsMachineUp(backup)) return true;
-      continue;
+    // The backup may have crashed the instant after buffering the record
+    // (its log died with it); an ack from a now-dead backup protects
+    // nothing, so re-log to the next survivor.
+    if (s.ok() && !fabric_->IsMachineUp(backup)) {
+      return Status::Unavailable("backup died holding the record");
     }
-    fabric_->AddCpuMicros(primary, options_.retry.backoff_base_micros);
-  }
+    return s;
+  });
+  if (logged.ok()) return true;
   // Retries exhausted (or no backup exists). If the primary is still up the
   // write stays durable-in-RAM under the best-effort semantics of a cluster
   // with no reachable backup; but if an injected crash took the primary down
@@ -714,26 +708,25 @@ MachineId MemoryCloud::BackupOf(MachineId m) const {
   return kInvalidMachine;
 }
 
-void MemoryCloud::RefreshRoutingLocked(MachineId m) {
+std::shared_ptr<const MemoryCloud::RoutingView> MemoryCloud::BuildRoutingView(
+    const AddressingTable& table) const {
   auto view = std::make_shared<RoutingView>();
   view->stamp = routing_stamp_.load(std::memory_order_acquire);
-  const AddressingTable& table = machines_[m].table_replica;
   view->owner.resize(static_cast<std::size_t>(table.num_slots()));
   for (TrunkId t = 0; t < table.num_slots(); ++t) {
     view->owner[static_cast<std::size_t>(t)] = table.machine_of_trunk(t);
   }
-  machines_[m].routing.store(std::move(view), std::memory_order_release);
+  return view;
+}
+
+void MemoryCloud::RefreshRoutingLocked(MachineId m) {
+  machines_[m].routing.store(BuildRoutingView(machines_[m].table_replica),
+                             std::memory_order_release);
 }
 
 void MemoryCloud::RefreshPrimaryRoutingLocked() const {
-  auto view = std::make_shared<RoutingView>();
-  view->stamp = routing_stamp_.load(std::memory_order_acquire);
-  view->owner.resize(static_cast<std::size_t>(primary_table_.num_slots()));
-  for (TrunkId t = 0; t < primary_table_.num_slots(); ++t) {
-    view->owner[static_cast<std::size_t>(t)] =
-        primary_table_.machine_of_trunk(t);
-  }
-  primary_routing_.store(std::move(view), std::memory_order_release);
+  primary_routing_.store(BuildRoutingView(primary_table_),
+                         std::memory_order_release);
 }
 
 MachineId MemoryCloud::RouteDst(MachineId src, CellId id) {
@@ -1044,6 +1037,20 @@ std::string MemoryCloud::SnapshotPrefixLocked() const {
   return options_.tfs_prefix + "/snap_" + std::to_string(snapshot_epoch_);
 }
 
+Status MemoryCloud::LoadCommittedTrunkLocked(
+    TrunkId t, std::unique_ptr<storage::MemoryTrunk>* out) const {
+  const std::string snap_prefix = SnapshotPrefixLocked();
+  Status s = snap_prefix.empty()
+                 ? Status::NotFound("no committed snapshot")
+                 : storage::MemoryStorage::LoadTrunkFromTfs(
+                       options_.tfs, snap_prefix, t, options_.storage.trunk,
+                       out);
+  if (s.IsNotFound()) {
+    s = storage::MemoryTrunk::Create(options_.storage.trunk, out);
+  }
+  return s;
+}
+
 Status MemoryCloud::SnapshotAllLocked() {
   // A dead machine whose trunks have not been reassigned yet is represented
   // only by the *old* epoch plus buffered logs; committing a new epoch now
@@ -1129,22 +1136,30 @@ std::vector<MachineId> MemoryCloud::AliveSlavesLocked() const {
 
 Status MemoryCloud::ElectLeader() {
   std::lock_guard<std::mutex> lock(mu_);
+  return ElectLeaderLocked();
+}
+
+std::string MemoryCloud::LeaderFlagPrefix() const {
+  return options_.tfs_prefix + "/leader_epoch_";
+}
+
+Status MemoryCloud::ElectLeaderLocked() {
   const std::vector<MachineId> alive = AliveSlavesLocked();
   if (alive.empty()) return Status::Unavailable("no alive slaves");
   const MachineId candidate = alive.front();
   if (options_.tfs != nullptr) {
     // Fence through TFS so two partitions cannot both elect a leader
     // (§6.2: "the new leader marks a flag on the shared distributed
-    // fault-tolerant file system").
-    for (int tries = 0; tries < 1000; ++tries) {
+    // fault-tolerant file system"). An epoch whose flag exists belongs to
+    // someone else; the leader is elected only once it owns its flag.
+    Status s;
+    do {
       ++leader_epoch_;
-      const std::string flag = options_.tfs_prefix + "/leader_epoch_" +
-                               std::to_string(leader_epoch_);
-      Status s = options_.tfs->CreateExclusive(
-          flag, Slice(std::to_string(candidate)));
-      if (s.ok()) break;
-      if (!s.IsAlreadyExists()) return s;
-    }
+      s = options_.tfs->CreateExclusive(
+          LeaderFlagPrefix() + std::to_string(leader_epoch_),
+          Slice(std::to_string(candidate)));
+    } while (s.IsAlreadyExists());
+    if (!s.ok()) return s;
   }
   leader_ = candidate;
   return Status::OK();
@@ -1164,17 +1179,8 @@ Status MemoryCloud::RecoverMachine(MachineId failed) {
   // memory image was deliberately kept alive until now (see OnInjectedCrash).
   machines_[failed].storage.store(nullptr);
   if (leader_ == failed || !alive_[leader_].load(std::memory_order_acquire)) {
-    // Leader is gone; elect a new one (inline, we already hold the state).
-    const std::vector<MachineId> alive = AliveSlavesLocked();
-    if (alive.empty()) return Status::Unavailable("no alive slaves");
-    leader_ = alive.front();
-    if (options_.tfs != nullptr) {
-      ++leader_epoch_;
-      options_.tfs->CreateExclusive(
-          options_.tfs_prefix + "/leader_epoch_" +
-              std::to_string(leader_epoch_),
-          Slice(std::to_string(leader_)));
-    }
+    Status s = ElectLeaderLocked();
+    if (!s.ok()) return s;
   }
   const std::vector<MachineId> targets = AliveSlavesLocked();
   if (targets.empty()) return Status::Unavailable("no recovery targets");
@@ -1196,7 +1202,6 @@ Status MemoryCloud::RecoverMachine(MachineId failed) {
   // to other alive machines, updates the primary addressing table and
   // broadcasts it" (§6.2). Trunks load from the last *committed* snapshot
   // epoch; a half-written staging epoch is invisible here.
-  const std::string snap_prefix = SnapshotPrefixLocked();
   std::size_t next = 0;
   for (TrunkId t : trunks) {
     const MachineId target = targets[next++ % targets.size()];
@@ -1204,16 +1209,9 @@ Status MemoryCloud::RecoverMachine(MachineId failed) {
     if (target_store == nullptr) {
       return Status::Unavailable("recovery target lost its storage");
     }
+    // A never-snapshotted trunk recovers empty, plus log replay below.
     std::unique_ptr<storage::MemoryTrunk> trunk;
-    Status s = snap_prefix.empty()
-                   ? Status::NotFound("no committed snapshot")
-                   : storage::MemoryStorage::LoadTrunkFromTfs(
-                         options_.tfs, snap_prefix, t,
-                         options_.storage.trunk, &trunk);
-    if (s.IsNotFound()) {
-      // Never snapshotted: recover an empty trunk (plus log replay below).
-      s = storage::MemoryTrunk::Create(options_.storage.trunk, &trunk);
-    }
+    Status s = LoadCommittedTrunkLocked(t, &trunk);
     if (!s.ok()) return s;
     s = target_store->AttachTrunk(t, std::move(trunk));
     if (!s.ok()) return s;
@@ -1295,16 +1293,8 @@ Status MemoryCloud::PromoteReplicasLocked(MachineId failed) {
   routing_stamp_.fetch_add(1, std::memory_order_acq_rel);
   machines_[failed].backup_logs.clear();
   if (leader_ == failed || !alive_[leader_].load(std::memory_order_acquire)) {
-    const std::vector<MachineId> alive = AliveSlavesLocked();
-    if (alive.empty()) return Status::Unavailable("no alive slaves");
-    leader_ = alive.front();
-    if (options_.tfs != nullptr) {
-      ++leader_epoch_;
-      options_.tfs->CreateExclusive(
-          options_.tfs_prefix + "/leader_epoch_" +
-              std::to_string(leader_epoch_),
-          Slice(std::to_string(leader_)));
-    }
+    Status s = ElectLeaderLocked();
+    if (!s.ok()) return s;
   }
   // The failed machine's replica trunks are ghosts (crash) or unreachable
   // behind a partition; drop it from every in-sync set.
@@ -1318,8 +1308,6 @@ Status MemoryCloud::PromoteReplicasLocked(MachineId failed) {
   }
   const std::vector<MachineId> survivors = AliveSlavesLocked();
   if (survivors.empty()) return Status::Unavailable("no alive slaves");
-  const std::string snap_prefix =
-      options_.tfs == nullptr ? std::string() : SnapshotPrefixLocked();
   int promoted = 0;
   int reloaded = 0;
   std::size_t rr = 0;
@@ -1358,17 +1346,10 @@ Status MemoryCloud::PromoteReplicasLocked(MachineId failed) {
     if (tgt_store == nullptr) {
       return Status::Unavailable("recovery target lost its storage");
     }
+    // A never-snapshotted trunk loses its writes with the last replica and
+    // restarts empty so the cluster keeps serving.
     std::unique_ptr<storage::MemoryTrunk> trunk;
-    Status s = snap_prefix.empty()
-                   ? Status::NotFound("no committed snapshot")
-                   : storage::MemoryStorage::LoadTrunkFromTfs(
-                         options_.tfs, snap_prefix, t,
-                         options_.storage.trunk, &trunk);
-    if (s.IsNotFound()) {
-      // Never snapshotted: writes since creation are lost with the last
-      // replica; restart the trunk empty so the cluster keeps serving.
-      s = storage::MemoryTrunk::Create(options_.storage.trunk, &trunk);
-    }
+    Status s = LoadCommittedTrunkLocked(t, &trunk);
     if (!s.ok()) return s;
     if (tgt_store->replica_trunk(t) != nullptr) {
       // A stale (not in-sync) replica image is superseded by the reload.
@@ -1387,14 +1368,13 @@ Status MemoryCloud::PromoteReplicasLocked(MachineId failed) {
                                 5.0 * static_cast<double>(survivors.size()) +
                                 500.0 * static_cast<double>(reloaded);
   fabric_->AddCpuMicros(leader_, promote_micros);
-  recovery_stats_.promotions.fetch_add(promoted, std::memory_order_relaxed);
-  recovery_stats_.tfs_fallback_reloads.fetch_add(reloaded,
-                                                 std::memory_order_relaxed);
-  recovery_stats_.last_promote_micros.store(
-      static_cast<std::uint64_t>(promote_micros), std::memory_order_relaxed);
+  recovery_stats_.Add(&net::RecoveryStats::promotions, promoted);
+  recovery_stats_.Add(&net::RecoveryStats::tfs_fallback_reloads, reloaded);
+  recovery_stats_.Store(&net::RecoveryStats::last_promote_micros,
+                        static_cast<std::uint64_t>(promote_micros));
   // Until re-replication runs, promotion is all the recovery there is.
-  recovery_stats_.last_full_replication_micros.store(
-      static_cast<std::uint64_t>(promote_micros), std::memory_order_relaxed);
+  recovery_stats_.Store(&net::RecoveryStats::last_full_replication_micros,
+                        static_cast<std::uint64_t>(promote_micros));
   Status ps = PersistTableLocked();
   if (!ps.ok()) return ps;
   BroadcastTableLocked();
@@ -1472,29 +1452,6 @@ std::uint64_t MemoryCloud::ReplicaMemoryBytes() const {
     }
   }
   return total;
-}
-
-net::RecoveryStats MemoryCloud::recovery_stats() const {
-  // Lock-free snapshot of the relaxed counters; fields may be mutually
-  // inconsistent for an instant, which is fine for observability data.
-  net::RecoveryStats out;
-  out.promotions = recovery_stats_.promotions.load(std::memory_order_relaxed);
-  out.last_promote_micros =
-      recovery_stats_.last_promote_micros.load(std::memory_order_relaxed);
-  out.last_full_replication_micros =
-      recovery_stats_.last_full_replication_micros.load(
-          std::memory_order_relaxed);
-  out.bytes_rereplicated =
-      recovery_stats_.bytes_rereplicated.load(std::memory_order_relaxed);
-  out.trunks_rereplicated =
-      recovery_stats_.trunks_rereplicated.load(std::memory_order_relaxed);
-  out.degraded_reads =
-      recovery_stats_.degraded_reads.load(std::memory_order_relaxed);
-  out.fenced_writes =
-      recovery_stats_.fenced_writes.load(std::memory_order_relaxed);
-  out.tfs_fallback_reloads =
-      recovery_stats_.tfs_fallback_reloads.load(std::memory_order_relaxed);
-  return out;
 }
 
 int MemoryCloud::ReReplicate() {
@@ -1588,10 +1545,9 @@ int MemoryCloud::ReReplicate() {
   }
   if (installed > 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    recovery_stats_.trunks_rereplicated.fetch_add(installed,
-                                                  std::memory_order_relaxed);
-    recovery_stats_.bytes_rereplicated.fetch_add(shipped_bytes,
-                                                 std::memory_order_relaxed);
+    recovery_stats_.Add(&net::RecoveryStats::trunks_rereplicated, installed);
+    recovery_stats_.Add(&net::RecoveryStats::bytes_rereplicated,
+                        shipped_bytes);
     // Modeled wall time of the parallel transfer: each destination installs
     // its images serially, destinations proceed in parallel — the slowest
     // destination bounds time-to-full-replication.
@@ -1600,10 +1556,10 @@ int MemoryCloud::ReReplicate() {
       (void)target;
       slowest = std::max(slowest, micros);
     }
-    recovery_stats_.last_full_replication_micros.store(
-        recovery_stats_.last_promote_micros.load(std::memory_order_relaxed) +
-            static_cast<std::uint64_t>(slowest),
-        std::memory_order_relaxed);
+    recovery_stats_.Store(
+        &net::RecoveryStats::last_full_replication_micros,
+        recovery_stats_.Snapshot().last_promote_micros +
+            static_cast<std::uint64_t>(slowest));
     Status ps = PersistTableLocked();
     (void)ps;  // Best effort: the next sweep re-persists.
     BroadcastTableLocked();

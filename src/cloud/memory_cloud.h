@@ -12,6 +12,7 @@
 
 #include "cloud/addressing_table.h"
 #include "common/call_context.h"
+#include "common/counters.h"
 #include "common/hash.h"
 #include "common/retry.h"
 #include "common/status.h"
@@ -278,7 +279,9 @@ class MemoryCloud {
 
   /// Cumulative failover/recovery counters (replicated mode). All times are
   /// simulated microseconds, deterministic per fault-injector seed.
-  net::RecoveryStats recovery_stats() const;
+  net::RecoveryStats recovery_stats() const {
+    return recovery_stats_.Snapshot();
+  }
 
   /// Committed bytes held in replica trunks across alive slaves — the
   /// memory overhead of the replication factor.
@@ -337,20 +340,6 @@ class MemoryCloud {
     std::uint64_t next_log_seq = 1;
   };
 
-  /// Relaxed-atomic mirror of net::RecoveryStats: hot read paths (degraded
-  /// reads, fencing rejections) bump counters without touching mu_ and
-  /// recovery_stats() snapshots without blocking writers.
-  struct AtomicRecoveryStats {
-    std::atomic<std::uint64_t> promotions{0};
-    std::atomic<std::uint64_t> last_promote_micros{0};
-    std::atomic<std::uint64_t> last_full_replication_micros{0};
-    std::atomic<std::uint64_t> bytes_rereplicated{0};
-    std::atomic<std::uint64_t> trunks_rereplicated{0};
-    std::atomic<std::uint64_t> degraded_reads{0};
-    std::atomic<std::uint64_t> fenced_writes{0};
-    std::atomic<std::uint64_t> tfs_fallback_reloads{0};
-  };
-
   explicit MemoryCloud(const Options& options);
   Status Init();
   void RegisterHandlers(MachineId m);
@@ -382,6 +371,9 @@ class MemoryCloud {
   /// (which also rebuilds the snapshot).
   MachineId RouteDst(MachineId src, CellId id);
 
+  /// A routing snapshot of `table` stamped with the current routing_stamp_.
+  std::shared_ptr<const RoutingView> BuildRoutingView(
+      const AddressingTable& table) const;
   /// Rebuilds machine m's routing snapshot from its table replica. Caller
   /// holds mu_.
   void RefreshRoutingLocked(MachineId m);
@@ -438,6 +430,16 @@ class MemoryCloud {
   /// TFS directory of the last *committed* snapshot epoch; empty when no
   /// snapshot has committed yet.
   std::string SnapshotPrefixLocked() const;
+  /// Trunk t as of the last committed snapshot, or a new empty trunk when
+  /// it was never snapshotted.
+  Status LoadCommittedTrunkLocked(
+      TrunkId t, std::unique_ptr<storage::MemoryTrunk>* out) const;
+
+  /// Elects the lowest-id alive slave. With TFS it first claims the next
+  /// free leader_epoch_N flag; leader_ changes only once the flag is owned.
+  Status ElectLeaderLocked();
+  /// TFS path prefix of the leader fencing flags (leader_epoch_N).
+  std::string LeaderFlagPrefix() const;
 
   /// Writes all alive slaves' trunks + the table under a fresh epoch, flips
   /// the commit pointer, truncates buffered logs and GCs old epochs. The
@@ -476,7 +478,9 @@ class MemoryCloud {
   /// not been covered by a committed snapshot yet. Cleared by the next
   /// successful SnapshotAllLocked (the re-protection point).
   bool reprotect_pending_ = false;
-  mutable AtomicRecoveryStats recovery_stats_;  ///< Relaxed atomics.
+  /// Hot read paths (degraded reads, fencing rejections) bump these
+  /// without touching mu_; recovery_stats() snapshots without blocking.
+  Counters<net::RecoveryStats> recovery_stats_;
 };
 
 }  // namespace trinity::cloud

@@ -1,7 +1,6 @@
 #include "net/fabric.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "common/logging.h"
@@ -379,15 +378,6 @@ void Fabric::AddCpuMicros(MachineId machine, double micros) {
 
 // ------------------------------------------------------------------ Meters
 
-void Meters::Add(Counter counter, std::uint64_t n) {
-  static constexpr NetworkStats kLayout{};
-  const std::ptrdiff_t offset =
-      reinterpret_cast<const char*>(&(kLayout.*counter)) -
-      reinterpret_cast<const char*>(&kLayout);
-  totals_[offset / sizeof(std::uint64_t)].fetch_add(
-      n, std::memory_order_relaxed);
-}
-
 void Meters::AddTransfer(MachineId src, MachineId dst, std::uint64_t bytes,
                          std::uint64_t transfers) {
   Add(&NetworkStats::transfers, transfers);
@@ -403,7 +393,7 @@ void Meters::AddCpuMicros(MachineId machine, double micros) {
 }
 
 void Meters::Reset() {
-  for (auto& total : totals_) total.store(0, std::memory_order_relaxed);
+  totals_.Reset();
   for (Machine& m : machines_) {
     m.cpu_micros.store(0.0, std::memory_order_relaxed);
     m.bytes_in.store(0, std::memory_order_relaxed);
@@ -411,14 +401,6 @@ void Meters::Reset() {
     m.transfers_in.store(0, std::memory_order_relaxed);
     m.transfers_out.store(0, std::memory_order_relaxed);
   }
-}
-
-NetworkStats Meters::Snapshot() const {
-  std::array<std::uint64_t, std::tuple_size_v<decltype(totals_)>> words;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    words[i] = totals_[i].load(std::memory_order_relaxed);
-  }
-  return std::bit_cast<NetworkStats>(words);
 }
 
 double Meters::MaxCpuMicros() const {

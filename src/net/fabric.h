@@ -1,7 +1,6 @@
 #ifndef TRINITY_NET_FABRIC_H_
 #define TRINITY_NET_FABRIC_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -12,6 +11,7 @@
 #include <vector>
 
 #include "common/call_context.h"
+#include "common/counters.h"
 #include "common/histogram.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -29,13 +29,13 @@ namespace trinity::net {
 class Meters {
  public:
   /// One NetworkStats total, e.g. &NetworkStats::dropped.
-  using Counter = std::uint64_t NetworkStats::*;
+  using Counter = Counters<NetworkStats>::Field;
 
   explicit Meters(int num_machines) : machines_(num_machines) {}
 
   int num_machines() const { return static_cast<int>(machines_.size()); }
 
-  void Add(Counter counter, std::uint64_t n);
+  void Add(Counter counter, std::uint64_t n) { totals_.Add(counter, n); }
   /// `transfers` physical transfers totalling `bytes` on the src→dst wire.
   void AddTransfer(MachineId src, MachineId dst, std::uint64_t bytes,
                    std::uint64_t transfers);
@@ -50,17 +50,13 @@ class Meters {
 
   /// Reads are relaxed: fields may be mutually inconsistent for an instant,
   /// which is fine for meters read at phase boundaries.
-  NetworkStats Snapshot() const;
+  NetworkStats Snapshot() const { return totals_.Snapshot(); }
   const Machine& machine(MachineId m) const { return machines_[m]; }
   /// Max CPU meter across machines — the modeled critical path.
   double MaxCpuMicros() const;
 
  private:
-  /// Every NetworkStats field is a uint64_t total, so the struct is an
-  /// array of words and a Counter's member offset names its slot.
-  std::array<std::atomic<std::uint64_t>,
-             sizeof(NetworkStats) / sizeof(std::uint64_t)>
-      totals_{};
+  Counters<NetworkStats> totals_;
   std::vector<Machine> machines_;
 };
 

@@ -122,7 +122,7 @@ Status QueryFrontend::Dispatch(const Request& request, CallContext* ctx,
 
 Status QueryFrontend::Execute(const Request& request, Response* response) {
   Stopwatch watch;
-  counters_.received.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(&ServingStats::received, 1);
   *response = Response();
 
   const double deadline = request.deadline_micros > 0.0
@@ -147,7 +147,7 @@ Status QueryFrontend::Execute(const Request& request, Response* response) {
     RecordOutcome(admitted, response->latency_micros);
     return admitted;
   }
-  counters_.admitted.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(&ServingStats::admitted, 1);
 
   Status s = Dispatch(request, &ctx, response);
   Release(target);
@@ -162,7 +162,7 @@ Status QueryFrontend::ExecuteTransaction(
     const std::function<Status(txn::Transaction&)>& body,
     double deadline_micros, const std::atomic<bool>* cancel) {
   Stopwatch watch;
-  counters_.received.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(&ServingStats::received, 1);
 
   const double deadline = deadline_micros > 0.0
                               ? deadline_micros
@@ -177,7 +177,7 @@ Status QueryFrontend::ExecuteTransaction(
     RecordOutcome(admitted, watch.ElapsedMicros());
     return admitted;
   }
-  counters_.admitted.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(&ServingStats::admitted, 1);
 
   // Whole-transaction retry loop: Aborted[txn-conflict] is IsRetryable(),
   // so a contended transaction re-runs (fresh snapshot, fresh read set)
@@ -196,14 +196,13 @@ Status QueryFrontend::ExecuteTransaction(
     if (!bs.ok() && !bs.IsTxnConflict()) return bs;
     Status cs = bs.ok() ? t.Commit() : bs;
     if (cs.IsTxnConflict()) {
-      counters_.txn_conflict_retries.fetch_add(1,
-                                               std::memory_order_relaxed);
+      counters_.Add(&ServingStats::txn_conflict_retries, 1);
     }
     return cs;
   });
   Release(-1);
 
-  if (s.ok()) counters_.txn_committed.fetch_add(1, std::memory_order_relaxed);
+  if (s.ok()) counters_.Add(&ServingStats::txn_committed, 1);
   RecordOutcome(s, watch.ElapsedMicros());
   return s;
 }
@@ -211,44 +210,30 @@ Status QueryFrontend::ExecuteTransaction(
 void QueryFrontend::RecordOutcome(const Status& status,
                                   double latency_micros) {
   if (status.ok()) {
-    counters_.ok.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(&ServingStats::ok, 1);
   } else if (status.IsNotFound()) {
-    counters_.not_found.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(&ServingStats::not_found, 1);
   } else if (status.IsResourceExhausted()) {
-    counters_.shed.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(&ServingStats::shed, 1);
   } else if (status.IsDeadlineExceeded()) {
-    counters_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(&ServingStats::deadline_exceeded, 1);
   } else if (status.IsTxnConflict()) {
     // Terminal conflict: the transaction's optimistic retries ran out of
     // deadline/budget. Distinct from cancellation — callers may re-submit.
-    counters_.txn_conflicts.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(&ServingStats::txn_conflicts, 1);
   } else if (status.IsAborted()) {
-    counters_.cancelled.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(&ServingStats::cancelled, 1);
   } else if (status.IsRetryable()) {
-    counters_.unavailable.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(&ServingStats::unavailable, 1);
   } else {
-    counters_.other_errors.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(&ServingStats::other_errors, 1);
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   latency_micros_.Add(latency_micros);
 }
 
 ServingStats QueryFrontend::stats() const {
-  ServingStats out;
-  out.received = counters_.received.load(std::memory_order_relaxed);
-  out.admitted = counters_.admitted.load(std::memory_order_relaxed);
-  out.ok = counters_.ok.load(std::memory_order_relaxed);
-  out.not_found = counters_.not_found.load(std::memory_order_relaxed);
-  out.shed = counters_.shed.load(std::memory_order_relaxed);
-  out.deadline_exceeded =
-      counters_.deadline_exceeded.load(std::memory_order_relaxed);
-  out.cancelled = counters_.cancelled.load(std::memory_order_relaxed);
-  out.unavailable = counters_.unavailable.load(std::memory_order_relaxed);
-  out.other_errors = counters_.other_errors.load(std::memory_order_relaxed);
-  out.txn_committed = counters_.txn_committed.load(std::memory_order_relaxed);
-  out.txn_conflicts = counters_.txn_conflicts.load(std::memory_order_relaxed);
-  out.txn_conflict_retries =
-      counters_.txn_conflict_retries.load(std::memory_order_relaxed);
+  ServingStats out = counters_.Snapshot();
   out.degraded_reads =
       cloud_->recovery_stats().degraded_reads - degraded_reads_baseline_;
   if (retry_budget_ != nullptr) {

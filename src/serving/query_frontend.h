@@ -12,6 +12,7 @@
 
 #include "cloud/memory_cloud.h"
 #include "common/call_context.h"
+#include "common/counters.h"
 #include "common/histogram.h"
 #include "common/retry.h"
 #include "common/status.h"
@@ -160,21 +161,9 @@ class QueryFrontend {
 
   mutable std::mutex stats_mu_;
   Histogram latency_micros_;  ///< Guarded by stats_mu_.
-  struct Counters {
-    std::atomic<std::uint64_t> received{0};
-    std::atomic<std::uint64_t> admitted{0};
-    std::atomic<std::uint64_t> ok{0};
-    std::atomic<std::uint64_t> not_found{0};
-    std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> deadline_exceeded{0};
-    std::atomic<std::uint64_t> cancelled{0};
-    std::atomic<std::uint64_t> unavailable{0};
-    std::atomic<std::uint64_t> other_errors{0};
-    std::atomic<std::uint64_t> txn_committed{0};
-    std::atomic<std::uint64_t> txn_conflicts{0};  ///< Terminal conflicts.
-    std::atomic<std::uint64_t> txn_conflict_retries{0};
-  };
-  Counters counters_;
+  /// The ServingStats outcome counters. stats() fills the derived fields
+  /// (degraded reads, retry budget, latency) on the snapshot.
+  Counters<ServingStats> counters_;
 };
 
 }  // namespace trinity::serving

@@ -95,10 +95,10 @@ Status Tfs::WriteBlockLocked(Slice data, BlockLocation* loc) {
     if (!s.ok()) return s;
     loc->replicas.push_back(dn);
     ++placed;
-    bytes_written_.fetch_add(data.size(), std::memory_order_relaxed);
+    stats_.Add(&Stats::bytes_written, data.size());
   }
   if (placed == 0) return Status::Unavailable("no alive datanode");
-  ++stats_.blocks_written;
+  stats_.Add(&Stats::blocks_written, 1);
   return Status::OK();
 }
 
@@ -118,9 +118,9 @@ Status Tfs::ReadBlockLocked(const BlockLocation& loc, std::string* out) {
         first = false;
         continue;  // Corrupt replica; try the next one.
       }
-      if (!first) ++stats_.replica_read_failovers;
-      ++stats_.blocks_read;
-      bytes_read_.fetch_add(data.size(), std::memory_order_relaxed);
+      if (!first) stats_.Add(&Stats::replica_read_failovers, 1);
+      stats_.Add(&Stats::blocks_read, 1);
+      stats_.Add(&Stats::bytes_read, data.size());
       *out = std::move(data);
       return Status::OK();
     }
@@ -178,7 +178,7 @@ Status Tfs::ReadFile(const std::string& path, std::string* out) {
     if (!s.ok()) return s;
     out->append(chunk);
   }
-  ++stats_.files_read;
+  stats_.Add(&Stats::files_read, 1);
   return Status::OK();
 }
 
@@ -236,14 +236,6 @@ bool Tfs::IsDatanodeAlive(int datanode) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (datanode < 0 || datanode >= options_.num_datanodes) return false;
   return datanode_alive_[datanode];
-}
-
-Tfs::Stats Tfs::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s = stats_;
-  s.bytes_written = bytes_written_.load(std::memory_order_relaxed);
-  s.bytes_read = bytes_read_.load(std::memory_order_relaxed);
-  return s;
 }
 
 Status Tfs::PersistManifestLocked() {

@@ -1,7 +1,6 @@
 #ifndef TRINITY_TFS_TFS_H_
 #define TRINITY_TFS_TFS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -9,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/slice.h"
 #include "common/status.h"
 
@@ -75,17 +75,9 @@ class Tfs {
   bool IsDatanodeAlive(int datanode) const;
   int num_datanodes() const { return options_.num_datanodes; }
 
-  Stats stats() const;
-
-  /// Lock-free byte meters (relaxed atomics). Safe to poll from spill and
-  /// recovery paths without touching the TFS mutex; stats() folds the same
-  /// values into its snapshot.
-  std::uint64_t bytes_written() const noexcept {
-    return bytes_written_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes_read() const noexcept {
-    return bytes_read_.load(std::memory_order_relaxed);
-  }
+  /// Lock-free: safe to poll from spill and recovery paths without
+  /// touching the TFS mutex.
+  Stats stats() const { return stats_.Snapshot(); }
 
  private:
   struct BlockLocation {
@@ -116,11 +108,7 @@ class Tfs {
   std::vector<bool> datanode_alive_;
   std::uint64_t next_block_id_ = 1;
   int next_placement_ = 0;  ///< Round-robin placement cursor.
-  Stats stats_;
-  // Byte meters live outside stats_ as relaxed atomics so they can be read
-  // without the mutex (PR 5 contention-counter style).
-  std::atomic<std::uint64_t> bytes_written_{0};
-  std::atomic<std::uint64_t> bytes_read_{0};
+  Counters<Stats> stats_;
 };
 
 }  // namespace trinity::tfs

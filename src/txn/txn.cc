@@ -328,11 +328,11 @@ Status Transaction::Commit() {
   }
   if (s.ok()) {
     state_ = State::kCommitted;
-    mgr_->committed_.fetch_add(1, std::memory_order_relaxed);
+    mgr_->stats_.Add(&TxnManager::Stats::committed, 1);
     return s;
   }
   state_ = State::kAborted;
-  mgr_->aborted_.fetch_add(1, std::memory_order_relaxed);
+  mgr_->stats_.Add(&TxnManager::Stats::aborted, 1);
   // Clean abort: resolve our own intents now (each resolution decides
   // abort through the record CAS — we never wrote a 'C' record, and after
   // the 'A' record lands we never can). Best effort; anything unreachable
@@ -394,7 +394,7 @@ Status TxnManager::ResolveCell(MachineId src, CellId id, VersionedCell* out,
       op.CompareAbsent(rid).Put(rid, Slice(encoded));
       Status a = op.Execute(src);
       if (a.ok()) {
-        presumed_aborts_.fetch_add(1, std::memory_order_relaxed);
+        stats_.Add(&Stats::presumed_aborts, 1);
       } else if (a.IsGuardFailed()) {
         continue;  // Owner won the race — re-read the record next lap.
       } else {
@@ -439,8 +439,7 @@ Status TxnManager::ApplyDecision(MachineId src, CellId id,
   }
   Status s = op.Execute(src);
   if (s.ok()) {
-    (commit ? rolled_forward_ : rolled_back_)
-        .fetch_add(1, std::memory_order_relaxed);
+    stats_.Add(commit ? &Stats::rolled_forward : &Stats::rolled_back, 1);
   }
   return s;
 }
@@ -492,16 +491,6 @@ Status TxnManager::CountPendingIntents(MachineId src,
   }
   *count = n;
   return Status::OK();
-}
-
-TxnManager::Stats TxnManager::stats() const {
-  Stats out;
-  out.committed = committed_.load(std::memory_order_relaxed);
-  out.aborted = aborted_.load(std::memory_order_relaxed);
-  out.rolled_forward = rolled_forward_.load(std::memory_order_relaxed);
-  out.rolled_back = rolled_back_.load(std::memory_order_relaxed);
-  out.presumed_aborts = presumed_aborts_.load(std::memory_order_relaxed);
-  return out;
 }
 
 }  // namespace trinity::txn

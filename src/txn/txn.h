@@ -12,6 +12,7 @@
 #include "cloud/memory_cloud.h"
 #include "cloud/multiop.h"
 #include "common/call_context.h"
+#include "common/counters.h"
 #include "common/retry.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -220,7 +221,7 @@ class TxnManager {
 
   cloud::MemoryCloud* cloud() const { return cloud_; }
   const RetryPolicy& policy() const { return policy_; }
-  Stats stats() const;
+  Stats stats() const { return stats_.Snapshot(); }
 
  private:
   friend class Transaction;
@@ -254,11 +255,7 @@ class TxnManager {
   /// transactional write.
   std::atomic<std::uint64_t> stamp_{CellCodec::kLegacyVersion + 1};
 
-  std::atomic<std::uint64_t> committed_{0};
-  std::atomic<std::uint64_t> aborted_{0};
-  std::atomic<std::uint64_t> rolled_forward_{0};
-  std::atomic<std::uint64_t> rolled_back_{0};
-  std::atomic<std::uint64_t> presumed_aborts_{0};
+  Counters<Stats> stats_;
 };
 
 }  // namespace trinity::txn

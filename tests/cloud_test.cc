@@ -287,6 +287,51 @@ TEST_F(MemoryCloudFtTest, LeaderFailureElectsNewLeader) {
   EXPECT_FALSE(tfs_->List("cloud/leader_epoch_").empty());
 }
 
+// A cloud reopened on a TFS that already holds an earlier incarnation's
+// leader flags must claim a fresh epoch when it elects, in both recovery
+// modes: the highest leader_epoch_N flag names the leader in charge.
+TEST(MemoryCloudLeaderTest, ReopenedCloudFencesAFreshEpoch) {
+  for (int replication : {0, 1}) {
+    const std::string root = ::testing::TempDir() + "/cloud_leader_reopen_" +
+                             std::to_string(replication);
+    std::filesystem::remove_all(root);
+    tfs::Tfs::Options tfs_options;
+    tfs_options.root = root;
+    std::unique_ptr<tfs::Tfs> tfs;
+    ASSERT_TRUE(tfs::Tfs::Open(tfs_options, &tfs).ok());
+    MemoryCloud::Options options;
+    options.num_slaves = 4;
+    options.p_bits = 4;
+    options.storage.trunk.capacity = 256 * 1024;
+    options.tfs = tfs.get();
+    options.replication_factor = replication;
+    std::unique_ptr<MemoryCloud> cloud;
+    ASSERT_TRUE(MemoryCloud::Create(options, &cloud).ok());
+    ASSERT_TRUE(cloud->ElectLeader().ok());  // leader_epoch_1 names 0.
+    ASSERT_TRUE(cloud->SaveSnapshot().ok());
+    cloud.reset();
+
+    ASSERT_TRUE(MemoryCloud::Create(options, &cloud).ok());
+    ASSERT_EQ(cloud->leader(), 0);
+    ASSERT_TRUE(cloud->FailMachine(0).ok());
+    ASSERT_TRUE(cloud->RecoverMachine(0).ok());
+    ASSERT_NE(cloud->leader(), 0);
+
+    const std::string prefix = "cloud/leader_epoch_";
+    std::uint64_t highest = 0;
+    for (const std::string& flag : tfs->List(prefix)) {
+      highest = std::max<std::uint64_t>(
+          highest, std::stoull(flag.substr(prefix.size())));
+    }
+    ASSERT_EQ(highest, 2u) << "replication " << replication;
+    std::string holder;
+    ASSERT_TRUE(
+        tfs->ReadFile(prefix + std::to_string(highest), &holder).ok());
+    EXPECT_EQ(holder, std::to_string(cloud->leader()))
+        << "replication " << replication;
+  }
+}
+
 TEST_F(MemoryCloudFtTest, RestartedMachineRejoins) {
   ASSERT_TRUE(cloud_->SaveSnapshot().ok());
   ASSERT_TRUE(cloud_->FailMachine(2).ok());

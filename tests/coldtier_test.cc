@@ -350,7 +350,7 @@ TEST(ColdTierTest, SpillsOverBudgetAndFaultsBack) {
   EXPECT_GT(stats.cold_bytes_written, 0u);
   EXPECT_LE(stats.used_bytes, 64u << 10);
   EXPECT_EQ(stats.live_cells, static_cast<std::uint64_t>(kCells));
-  EXPECT_GT(tfs->bytes_written(), 0u);
+  EXPECT_GT(tfs->stats().bytes_written, 0u);
 
   // Every cell — resident or spilled — must read back exactly; reads of
   // spilled cells fault them in.
@@ -366,7 +366,7 @@ TEST(ColdTierTest, SpillsOverBudgetAndFaultsBack) {
   stats = trunk->stats();
   EXPECT_GT(stats.cells_faulted, 0u);
   EXPECT_GT(stats.cold_bytes_read, 0u);
-  EXPECT_GT(tfs->bytes_read(), 0u);
+  EXPECT_GT(tfs->stats().bytes_read, 0u);
   EXPECT_EQ(trunk->CellIds().size(), static_cast<std::size_t>(kCells));
 }
 

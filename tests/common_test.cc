@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <numeric>
 #include <thread>
+#include <vector>
 
+#include "common/counters.h"
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/random.h"
@@ -12,6 +18,11 @@
 #include "common/spinlock.h"
 #include "common/status.h"
 #include "common/threadpool.h"
+#include "net/network_stats.h"
+#include "serving/serving_stats.h"
+#include "storage/memory_trunk.h"
+#include "tfs/tfs.h"
+#include "txn/txn.h"
 
 namespace trinity {
 namespace {
@@ -401,6 +412,155 @@ TEST(StopwatchTest, MeasuresElapsed) {
   for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
   benchmarkish_sink = sink;
   EXPECT_GT(watch.ElapsedMicros(), 0.0);
+}
+
+// ------------------------------------------------------------ Counters
+
+template <class T>
+using Fields = std::vector<std::uint64_t T::*>;
+
+template <class T>
+std::array<std::uint64_t, sizeof(T) / sizeof(std::uint64_t)> WordsOf(
+    const T& value) {
+  return std::bit_cast<
+      std::array<std::uint64_t, sizeof(T) / sizeof(std::uint64_t)>>(value);
+}
+
+// Each field added through its member pointer comes back at that field and
+// moves no other word of the snapshot.
+template <class T>
+void ExpectEachFieldIsolated(const Fields<T>& fields) {
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    Counters<T> counters;
+    counters.Add(fields[i], 5);
+    counters.Add(fields[i], 2);
+    const T snap = counters.Snapshot();
+    for (std::size_t j = 0; j < fields.size(); ++j) {
+      EXPECT_EQ(snap.*fields[j], i == j ? 7u : 0u)
+          << "added field " << i << ", read field " << j;
+    }
+    const auto words = WordsOf(snap);
+    EXPECT_EQ(std::count(words.begin(), words.end(), 0u),
+              static_cast<std::ptrdiff_t>(words.size() - 1))
+        << "field " << i << " also moved another word";
+  }
+}
+
+TEST(CountersTest, NetworkStatsFieldsAreIsolated) {
+  using S = net::NetworkStats;
+  const Fields<S> fields = {&S::messages, &S::transfers, &S::bytes,
+      &S::sync_calls, &S::local_messages, &S::dropped, &S::injected_drops,
+      &S::injected_duplicates, &S::injected_call_failures, &S::injected_crashes,
+      &S::delayed_flushes, &S::injected_call_delays};
+  ASSERT_EQ(fields.size(), sizeof(S) / sizeof(std::uint64_t));
+  ExpectEachFieldIsolated(fields);
+}
+
+TEST(CountersTest, RecoveryStatsFieldsAreIsolated) {
+  using S = net::RecoveryStats;
+  const Fields<S> fields = {&S::promotions, &S::last_promote_micros,
+      &S::last_full_replication_micros, &S::bytes_rereplicated,
+      &S::trunks_rereplicated, &S::degraded_reads, &S::fenced_writes,
+      &S::tfs_fallback_reloads};
+  ASSERT_EQ(fields.size(), sizeof(S) / sizeof(std::uint64_t));
+  ExpectEachFieldIsolated(fields);
+}
+
+TEST(CountersTest, TxnStatsFieldsAreIsolated) {
+  using S = txn::TxnManager::Stats;
+  const Fields<S> fields = {&S::committed, &S::aborted, &S::rolled_forward,
+      &S::rolled_back, &S::presumed_aborts};
+  ASSERT_EQ(fields.size(), sizeof(S) / sizeof(std::uint64_t));
+  ExpectEachFieldIsolated(fields);
+}
+
+TEST(CountersTest, TfsStatsFieldsAreIsolated) {
+  using S = tfs::Tfs::Stats;
+  const Fields<S> fields = {&S::blocks_written, &S::blocks_read,
+      &S::replica_read_failovers, &S::files_read, &S::bytes_written,
+      &S::bytes_read};
+  ASSERT_EQ(fields.size(), sizeof(S) / sizeof(std::uint64_t));
+  ExpectEachFieldIsolated(fields);
+}
+
+// ServingStats mixes counters with doubles the frontend fills in on the
+// snapshot; the block leaves those at 0.0.
+TEST(CountersTest, ServingStatsCountersAreIsolatedAndDoublesStayZero) {
+  using S = serving::ServingStats;
+  const Fields<S> fields = {&S::received, &S::admitted, &S::ok, &S::not_found,
+      &S::shed, &S::deadline_exceeded, &S::cancelled, &S::unavailable,
+      &S::other_errors, &S::txn_committed, &S::txn_conflicts,
+      &S::txn_conflict_retries, &S::degraded_reads, &S::retries_granted,
+      &S::retries_denied, &S::latency_count};
+  ExpectEachFieldIsolated(fields);
+
+  Counters<S> counters;
+  for (auto field : fields) counters.Add(field, 3);
+  const S snap = counters.Snapshot();
+  EXPECT_EQ(snap.retry_budget_tokens, 0.0);
+  EXPECT_EQ(snap.latency_mean_micros, 0.0);
+  EXPECT_EQ(snap.latency_p50_micros, 0.0);
+  EXPECT_EQ(snap.latency_p95_micros, 0.0);
+  EXPECT_EQ(snap.latency_p99_micros, 0.0);
+  EXPECT_EQ(snap.latency_max_micros, 0.0);
+}
+
+TEST(CountersTest, StoreOverwritesAndResetZeroes) {
+  using S = net::RecoveryStats;
+  Counters<S> counters;
+  counters.Add(&S::last_promote_micros, 40);
+  counters.Store(&S::last_promote_micros, 7);
+  counters.Add(&S::promotions, 3);
+  EXPECT_EQ(counters.Snapshot().last_promote_micros, 7u);
+  EXPECT_EQ(counters.Snapshot().promotions, 3u);
+  counters.Reset();
+  const auto words = WordsOf(counters.Snapshot());
+  EXPECT_EQ(std::accumulate(words.begin(), words.end(), std::uint64_t{0}),
+            0u);
+}
+
+TEST(CountersTest, AccumulateSumsEveryField) {
+  using S = storage::MemoryTrunk::Stats;
+  const Fields<S> fields = {&S::live_cells, &S::live_bytes, &S::reserved_slack,
+      &S::dead_bytes, &S::used_bytes, &S::resident_bytes, &S::committed_bytes,
+      &S::capacity, &S::defrag_passes, &S::cells_moved, &S::expansions_in_place,
+      &S::expansions_relocated, &S::compressed_cells, &S::compressed_bytes,
+      &S::spilled_cells, &S::spilled_bytes, &S::cells_evicted,
+      &S::cells_faulted, &S::cold_bytes_written, &S::cold_bytes_read,
+      &S::shared_reads, &S::read_lock_contended, &S::write_lock_contended,
+      &S::cell_lock_contended};
+  ASSERT_EQ(fields.size(), sizeof(S) / sizeof(std::uint64_t));
+  S total;
+  S part;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    total.*fields[i] = 1000 * (i + 1);
+    part.*fields[i] = i + 1;
+  }
+  Accumulate(&total, part);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(total.*fields[i], 1001 * (i + 1)) << "field " << i;
+  }
+}
+
+TEST(CountersTest, ConcurrentAddsReachTheExactTotal) {
+  using S = net::NetworkStats;
+  constexpr int kThreads = 4;
+  constexpr int kAdds = 20000;
+  Counters<S> counters;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&counters] {
+      for (int i = 0; i < kAdds; ++i) {
+        counters.Add(&S::messages, 1);
+        counters.Add(&S::bytes, 3);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const S snap = counters.Snapshot();
+  EXPECT_EQ(snap.messages, std::uint64_t{kThreads} * kAdds);
+  EXPECT_EQ(snap.bytes, 3 * std::uint64_t{kThreads} * kAdds);
+  EXPECT_EQ(snap.transfers, 0u);
 }
 
 }  // namespace

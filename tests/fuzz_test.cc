@@ -2,7 +2,8 @@
 // seeds: the cell accessor vs a plain struct, the memory cloud under
 // continuous crash/recovery churn vs a std::map, the fabric's delivery
 // guarantees under random flushing, and the byte decoders (adjacency codec,
-// packed message records) against garbage.
+// packed message records, table, versioned-cell and trunk images) against
+// garbage.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +13,12 @@
 #include "cloud/addressing_table.h"
 #include "cloud/memory_cloud.h"
 #include "common/random.h"
+#include "common/serializer.h"
 #include "compute/packed_messages.h"
 #include "graph/graph.h"
 #include "net/fabric.h"
 #include "storage/cell_codec.h"
+#include "storage/memory_trunk.h"
 #include "tfs/tfs.h"
 #include "tsl/cell_accessor.h"
 #include "txn/txn.h"
@@ -605,6 +608,106 @@ TEST_P(VersionedCellFuzzTest, RoundTripsAndNeverCrashesOnGarbage) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VersionedCellFuzzTest,
                          ::testing::Values(6, 66, 666));
+
+// ------------------------------------------------------ Trunk image fuzz
+
+class TrunkImageFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Decodes from an exact-size heap copy, so ASan sees any read past the end.
+Status DecodeTrunk(const std::string& bytes,
+                   const storage::MemoryTrunk::Options& options,
+                   std::unique_ptr<storage::MemoryTrunk>* out) {
+  const std::vector<char> copy(bytes.begin(), bytes.end());
+  return storage::MemoryTrunk::Deserialize(Slice(copy.data(), copy.size()),
+                                           options, out);
+}
+
+// Every live cell of a trunk by id: its payload, or the read's error for a
+// cell whose stored form does not decode (a mutated kAdjDelta body).
+std::map<CellId, std::string> CellsOf(const storage::MemoryTrunk& trunk) {
+  std::map<CellId, std::string> cells;
+  for (CellId id : trunk.CellIds()) {
+    std::string payload;
+    const Status s = trunk.GetCell(id, &payload);
+    cells[id] = s.ok() ? payload : "<" + s.ToString() + ">";
+  }
+  return cells;
+}
+
+// Random trunks round-trip through version-2 images (Serialize) and
+// hand-built version-1 images (count, then raw id/payload records), with
+// and without adjacency compression on either side. A strict prefix of an
+// image is rejected; a bit-flipped or garbage image is rejected or decodes
+// to a trunk whose own image decodes back to the same cells.
+TEST_P(TrunkImageFuzzTest, RoundTripsAndNeverCrashesOnGarbage) {
+  Random rng(GetParam());
+  for (int iter = 0; iter < 300; ++iter) {
+    storage::MemoryTrunk::Options options;
+    options.capacity = 1 << 20;
+    options.compress_adjacency = rng.Bernoulli(0.5);
+    std::map<CellId, std::string> cells;
+    for (int k = static_cast<int>(rng.Uniform(16)); k > 0; --k) {
+      const CellId id = rng.Uniform(1u << 20);
+      if (rng.Bernoulli(0.5)) {
+        // A node cell with sorted adjacency, which compresses.
+        graph::NodeImage node;
+        node.id = id;
+        node.data = std::string(rng.Uniform(16), 'd');
+        CellId next = rng.Uniform(1000);
+        for (int e = static_cast<int>(rng.Uniform(24)); e > 0; --e) {
+          node.out.push_back(next += rng.Uniform(64));
+        }
+        cells[id] = graph::Graph::EncodeNode(node);
+      } else {
+        std::string raw(rng.Uniform(64), '\0');
+        for (char& c : raw) c = static_cast<char>(rng.Uniform(256));
+        cells[id] = raw;
+      }
+    }
+
+    std::string image;
+    if (rng.Bernoulli(0.5)) {
+      std::unique_ptr<storage::MemoryTrunk> trunk;
+      ASSERT_TRUE(storage::MemoryTrunk::Create(options, &trunk).ok());
+      for (const auto& [id, payload] : cells) {
+        ASSERT_TRUE(trunk->AddCell(id, Slice(payload)).ok());
+      }
+      ASSERT_TRUE(trunk->Serialize(&image).ok());
+    } else {
+      BinaryWriter v1;
+      v1.PutU64(cells.size());
+      for (const auto& [id, payload] : cells) {
+        v1.PutU64(id);
+        v1.PutBytes(Slice(payload));
+      }
+      image = v1.Release();
+    }
+
+    storage::MemoryTrunk::Options decode_options = options;
+    decode_options.compress_adjacency = rng.Bernoulli(0.5);
+    std::unique_ptr<storage::MemoryTrunk> decoded;
+    ASSERT_TRUE(DecodeTrunk(image, decode_options, &decoded).ok());
+    ASSERT_EQ(CellsOf(*decoded), cells);
+    std::string again;
+    ASSERT_TRUE(decoded->Serialize(&again).ok());
+    ASSERT_TRUE(DecodeTrunk(again, decode_options, &decoded).ok());
+    ASSERT_EQ(CellsOf(*decoded), cells);
+
+    const Mutants m = Mutate(rng, image, 256);
+    ASSERT_EQ(DecodeTrunk(m.cut, decode_options, &decoded).ok(),
+              m.cut == image);
+    for (const std::string* input : {&m.flipped, &m.garbage}) {
+      if (!DecodeTrunk(*input, decode_options, &decoded).ok()) continue;
+      const std::map<CellId, std::string> got = CellsOf(*decoded);
+      ASSERT_TRUE(decoded->Serialize(&again).ok());
+      ASSERT_TRUE(DecodeTrunk(again, decode_options, &decoded).ok());
+      ASSERT_EQ(CellsOf(*decoded), got);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TrunkImageFuzzTest,
+                         ::testing::Values(7, 77, 777));
 
 }  // namespace
 }  // namespace trinity

@@ -287,7 +287,7 @@ TEST(ReplicationTest, TfsColdTierUsedOnlyWhenEveryReplicaIsLost) {
       << "all-replicas-lost trunk was not reloaded from the cold tier";
   EXPECT_GT(after.bytes_read, before.bytes_read)
       << "trunk image reload did not meter bytes_read";
-  EXPECT_EQ(after.bytes_read, c.tfs->bytes_read());  // Lock-free view agrees.
+  EXPECT_EQ(after.bytes_read, c.tfs->stats().bytes_read);  // No read since.
 
   // Snapshot-covered data is back; every cell is readable somewhere.
   for (CellId id = 0; id < 64; ++id) {
