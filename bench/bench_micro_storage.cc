@@ -1,9 +1,11 @@
 // Microbenchmarks for §6.1's circular memory management: allocation,
 // lookup, expansion with/without short-lived reservations, and
-// defragmentation throughput.
+// defragmentation throughput, plus the cost of one node visit on raw and
+// compressed adjacency.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -259,6 +261,73 @@ void RunFootprintReport(int argc, char* const* argv) {
   }
 }
 
+/// Node-visit cost: ns per Graph::VisitLocalNode (the traversal engines'
+/// per-vertex read) over every node of one R-MAT graph with names, stored
+/// raw and delta-varint compressed, for each part selection. Raw cells are
+/// read in place (ids are copied only when a name leaves them misaligned);
+/// compressed cells are decoded into per-thread scratch, only the parts
+/// asked for. One warm-up pass, then the median of 5 timed passes. Rows
+/// land in BENCH_node_visit.json with --json.
+void RunNodeVisitReport(int argc, char* const* argv) {
+  bench::JsonEmitter json("node_visit", argc, argv);
+  const auto edges = graph::Generators::Rmat(1 << 14, 8.0, 7);
+  std::printf("\n==== node visit: ns per VisitLocalNode ====\n");
+  for (const bool compress : {false, true}) {
+    cloud::MemoryCloud::Options options;
+    options.num_slaves = 1;
+    options.p_bits = 2;
+    options.storage.trunk.capacity = 64ull << 20;
+    options.storage.trunk.compress_adjacency = compress;
+    std::unique_ptr<cloud::MemoryCloud> cloud;
+    if (!cloud::MemoryCloud::Create(options, &cloud).ok()) return;
+    graph::Graph graph(cloud.get());
+    if (!graph::Generators::Load(&graph, edges, /*with_names=*/true, 7,
+                                 /*sort_adjacency=*/true)
+             .ok()) {
+      return;
+    }
+    const std::vector<CellId> nodes = graph.LocalNodes(0);
+    MemoryStorage* store = cloud->storage(0);
+    for (const auto& [parts, name] :
+         {std::pair{NodeParts::kData, "data"},
+          std::pair{NodeParts::kDataOut, "data_out"},
+          std::pair{NodeParts::kAll, "all"}}) {
+      std::uint64_t sink = 0;
+      const graph::Graph::LocalVisitor visit =
+          [&sink](Slice data, const CellId* in, std::size_t in_count,
+                  const CellId* out, std::size_t out_count) {
+            sink += data.size() + in_count + out_count;
+            if (in_count > 0) sink += in[in_count - 1];
+            if (out_count > 0) sink += out[out_count - 1];
+          };
+      std::vector<double> ns;
+      for (int pass = 0; pass < 6; ++pass) {
+        const auto start = std::chrono::steady_clock::now();
+        for (const CellId v : nodes) {
+          (void)graph.VisitLocalNode(store, v, visit, parts);
+        }
+        const double secs = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+        if (pass > 0) ns.push_back(secs * 1e9 / nodes.size());
+      }
+      benchmark::DoNotOptimize(sink);
+      std::sort(ns.begin(), ns.end());
+      std::printf("compress=%d  parts=%-8s  %7.1f ns/visit  (min %.1f, "
+                  "max %.1f, %zu nodes)\n",
+                  compress ? 1 : 0, name, ns[ns.size() / 2], ns.front(),
+                  ns.back(), nodes.size());
+      json.BeginRow("node_visit");
+      json.Add("compress_adjacency", compress);
+      json.Add("parts", std::string(name));
+      json.Add("ns_per_visit", ns[ns.size() / 2]);
+      json.Add("ns_min", ns.front());
+      json.Add("ns_max", ns.back());
+      json.Add("nodes", static_cast<std::uint64_t>(nodes.size()));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace trinity::storage
 
@@ -266,6 +335,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   trinity::storage::RunReadThroughputSweep(argc, argv);
   trinity::storage::RunFootprintReport(argc, argv);
+  trinity::storage::RunNodeVisitReport(argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -114,12 +114,19 @@ Status TraversalEngine::KHopExplore(CellId start, int max_depth,
       for (const FrontierEntry& entry : round.frontier) {
         if (!round.visited.insert(entry.vertex).second) continue;
         ++round.visited_count;
+        // Vertices at the last hop are never expanded: read only their
+        // data, so a compressed cell's id lists are not even decoded.
+        const graph::NodeParts parts =
+            entry.depth >= static_cast<std::uint32_t>(max_depth)
+                ? graph::NodeParts::kData
+                : graph::NodeParts::kDataOut;
         Status vs = graph_->VisitLocalNode(
             store, entry.vertex,
             [&](Slice data, const CellId*, std::size_t, const CellId* out,
                 std::size_t out_count) {
               expand_node(entry, data, out, out_count);
-            });
+            },
+            parts);
         if (vs.IsNotFound()) {
           misses.push_back(entry);
         } else if (!vs.ok()) {

@@ -21,37 +21,22 @@ std::string Graph::EncodeNode(const NodeImage& node) {
   return writer.Release();
 }
 
-bool Graph::ParseHeader(Slice blob, std::uint32_t* in_count,
-                        std::uint32_t* data_len, std::size_t* in_begin,
-                        std::size_t* out_begin, std::size_t* out_count) {
-  if (blob.size() < 8) return false;
-  std::memcpy(in_count, blob.data(), 4);
-  std::memcpy(data_len, blob.data() + 4, 4);
-  *in_begin = 8 + *data_len;
-  *out_begin = *in_begin + static_cast<std::size_t>(*in_count) * 8;
-  if (*out_begin > blob.size()) return false;
-  const std::size_t tail = blob.size() - *out_begin;
-  if (tail % 8 != 0) return false;
-  *out_count = tail / 8;
-  return true;
-}
-
 Status Graph::DecodeNode(CellId id, Slice blob, NodeImage* out) {
-  std::uint32_t in_count = 0, data_len = 0;
-  std::size_t in_begin = 0, out_begin = 0, out_count = 0;
-  if (!ParseHeader(blob, &in_count, &data_len, &in_begin, &out_begin,
-                   &out_count)) {
+  storage::NodeShape shape;
+  if (!storage::CellCodec::ParseNodeShape(blob, &shape)) {
     return Status::Corruption("malformed node cell");
   }
   out->id = id;
-  out->data.assign(blob.data() + 8, data_len);
-  out->in.resize(in_count);
-  if (in_count > 0) {
-    std::memcpy(out->in.data(), blob.data() + in_begin, in_count * 8);
+  out->data.assign(blob.data() + 8, shape.data_len);
+  out->in.resize(shape.in_count);
+  if (shape.in_count > 0) {
+    std::memcpy(out->in.data(), blob.data() + shape.in_begin,
+                shape.in_count * 8);
   }
-  out->out.resize(out_count);
-  if (out_count > 0) {
-    std::memcpy(out->out.data(), blob.data() + out_begin, out_count * 8);
+  out->out.resize(shape.out_count);
+  if (shape.out_count > 0) {
+    std::memcpy(out->out.data(), blob.data() + shape.out_begin,
+                shape.out_count * 8);
   }
   return Status::OK();
 }
@@ -107,17 +92,15 @@ Status Graph::InsertInlink(MachineId src, CellId node, CellId from) {
   std::string blob;
   Status s = cloud_->GetCellFrom(src, node, &blob);
   if (!s.ok()) return s;
-  std::uint32_t in_count = 0, data_len = 0;
-  std::size_t in_begin = 0, out_begin = 0, out_count = 0;
-  if (!ParseHeader(Slice(blob), &in_count, &data_len, &in_begin, &out_begin,
-                   &out_count)) {
+  storage::NodeShape shape;
+  if (!storage::CellCodec::ParseNodeShape(Slice(blob), &shape)) {
     return Status::Corruption("malformed node cell");
   }
-  ++in_count;
+  const std::uint32_t in_count = shape.in_count + 1;
   std::memcpy(blob.data(), &in_count, 4);
   char raw[8];
   std::memcpy(raw, &from, 8);
-  blob.insert(out_begin, raw, 8);  // New in-id goes after existing in-ids.
+  blob.insert(shape.out_begin, raw, 8);  // After the existing in-ids.
   return cloud_->PutCellFrom(src, node, Slice(blob));
 }
 
@@ -192,55 +175,62 @@ Status Graph::OutDegreeFrom(MachineId src, CellId id, std::size_t* out) {
   std::string blob;
   Status s = cloud_->GetCellFrom(src, id, &blob);
   if (!s.ok()) return s;
-  std::uint32_t in_count = 0, data_len = 0;
-  std::size_t in_begin = 0, out_begin = 0, out_count = 0;
-  if (!ParseHeader(Slice(blob), &in_count, &data_len, &in_begin, &out_begin,
-                   &out_count)) {
+  storage::NodeShape shape;
+  if (!storage::CellCodec::ParseNodeShape(Slice(blob), &shape)) {
     return Status::Corruption("malformed node cell");
   }
-  *out = out_count;
+  *out = shape.out_count;
   return Status::OK();
 }
 
+namespace {
+
+/// A node visit's id scratch, taken from a per-thread pool on entry and
+/// given back on exit: a visitor that visits another node gets a scratch of
+/// its own, and in steady state no visit allocates.
+class VisitScratch {
+ public:
+  VisitScratch() : pool_(Pool()) {
+    if (!pool_.empty()) {
+      ids_.swap(pool_.back());
+      pool_.pop_back();
+    }
+  }
+  ~VisitScratch() { pool_.push_back(std::move(ids_)); }
+  VisitScratch(const VisitScratch&) = delete;
+  VisitScratch& operator=(const VisitScratch&) = delete;
+
+  std::vector<CellId>* get() { return &ids_; }
+
+ private:
+  static std::vector<std::vector<CellId>>& Pool() {
+    thread_local std::vector<std::vector<CellId>> pool;
+    return pool;
+  }
+  std::vector<std::vector<CellId>>& pool_;
+  std::vector<CellId> ids_;
+};
+
+}  // namespace
+
 Status Graph::VisitLocalNode(MachineId machine, CellId id,
-                             const LocalVisitor& fn) const {
+                             const LocalVisitor& fn, NodeParts parts) const {
   storage::MemoryStorage* store = cloud_->storage(machine);
   if (store == nullptr) return Status::NotFound("not a slave");
-  return VisitLocalNode(store, id, fn);
+  return VisitLocalNode(store, id, fn, parts);
 }
 
 Status Graph::VisitLocalNode(storage::MemoryStorage* store, CellId id,
-                             const LocalVisitor& fn) const {
+                             const LocalVisitor& fn, NodeParts parts) const {
   if (store == nullptr) return Status::NotFound("not a slave");
   storage::MemoryTrunk* trunk = store->trunk(cloud_->TrunkOf(id));
   if (trunk == nullptr) return Status::NotFound("node not local");
+  VisitScratch scratch;
   storage::MemoryTrunk::ConstAccessor accessor;
-  Status s = trunk->Access(id, &accessor);
+  storage::NodeView node;
+  Status s = trunk->AccessNode(id, parts, scratch.get(), &accessor, &node);
   if (!s.ok()) return s;
-  const Slice blob = accessor.data();
-  std::uint32_t in_count = 0, data_len = 0;
-  std::size_t in_begin = 0, out_begin = 0, out_count = 0;
-  if (!ParseHeader(blob, &in_count, &data_len, &in_begin, &out_begin,
-                   &out_count)) {
-    return Status::Corruption("malformed node cell");
-  }
-  // CellId arrays are 8-byte values at arbitrary alignment; the blob offsets
-  // are not guaranteed 8-aligned, so expose via pointer into a local copy
-  // only when misaligned. In practice in_begin/out_begin are 8-aligned when
-  // data_len % 8 == 0; generators pad names, but be defensive:
-  if ((reinterpret_cast<std::uintptr_t>(blob.data() + in_begin) & 7) == 0) {
-    fn(Slice(blob.data() + 8, data_len),
-       reinterpret_cast<const CellId*>(blob.data() + in_begin), in_count,
-       reinterpret_cast<const CellId*>(blob.data() + out_begin), out_count);
-    return Status::OK();
-  }
-  std::vector<CellId> copy(in_count + out_count);
-  if (in_count + out_count > 0) {
-    std::memcpy(copy.data(), blob.data() + in_begin,
-                (in_count + out_count) * 8);
-  }
-  fn(Slice(blob.data() + 8, data_len), copy.data(), in_count,
-     copy.data() + in_count, out_count);
+  fn(node.data, node.in, node.in_count, node.out, node.out_count);
   return Status::OK();
 }
 

@@ -9,8 +9,12 @@
 #include "cloud/memory_cloud.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "storage/cell_codec.h"
 
 namespace trinity::graph {
+
+/// Which parts of a node a visit reads (see Graph::VisitLocalNode).
+using storage::NodeParts;
 
 /// Fully materialized image of one graph node, used for bulk loading and for
 /// round-tripping cells.
@@ -95,23 +99,31 @@ class Graph {
   Status SetNodeData(CellId id, Slice data);
   Status OutDegreeFrom(MachineId src, CellId id, std::size_t* out);
 
-  /// Zero-copy visit of a node hosted on `machine`: fn receives the node's
-  /// in/out adjacency and data directly over trunk memory (the cell stays
-  /// pinned for the duration). Returns NotFound when the node is not local.
+  /// Visit of a node hosted on `machine`: fn receives the `parts` of the
+  /// node it asks for; the others come back empty. A raw cell is read
+  /// zero-copy over trunk memory (the cell stays pinned for the duration).
+  /// A compressed cell is decoded in place, only the parts asked for, into
+  /// a per-thread scratch that the visit holds until fn returns, so fn may
+  /// visit further nodes itself (on compressed cells; a raw cell's pin
+  /// makes that a same-stripe hazard, see docs/concurrent_reads.md). No
+  /// visit allocates once the thread's scratch has grown to its largest
+  /// node. Returns NotFound when the node is not local.
   using LocalVisitor = std::function<void(Slice data, const CellId* in,
                                           std::size_t in_count,
                                           const CellId* out,
                                           std::size_t out_count)>;
-  Status VisitLocalNode(MachineId machine, CellId id,
-                        const LocalVisitor& fn) const;
+  Status VisitLocalNode(MachineId machine, CellId id, const LocalVisitor& fn,
+                        NodeParts parts = NodeParts::kAll) const;
 
   /// Same, against an already-resolved storage snapshot. Compute engines
   /// resolve `cloud()->storage(m)` once per superstep and use this overload
   /// from worker threads so the per-vertex hot path never touches the cloud
-  /// membership mutex. Concurrent const access is safe: the trunk pins the
-  /// cell under its striped spinlock for the visit.
+  /// membership mutex. Concurrent const access is safe: the trunk pins a
+  /// raw cell under its striped spinlock for the visit and decodes a
+  /// compressed one into the calling thread's own scratch.
   Status VisitLocalNode(storage::MemoryStorage* store, CellId id,
-                        const LocalVisitor& fn) const;
+                        const LocalVisitor& fn,
+                        NodeParts parts = NodeParts::kAll) const;
 
   /// Node ids hosted on `machine` (scans its trunks).
   std::vector<CellId> LocalNodes(MachineId machine) const;
@@ -123,11 +135,6 @@ class Graph {
   std::uint64_t CountNodes() const;
 
  private:
-  /// Parses the fixed header. Returns false on malformed blobs.
-  static bool ParseHeader(Slice blob, std::uint32_t* in_count,
-                          std::uint32_t* data_len, std::size_t* in_begin,
-                          std::size_t* out_begin, std::size_t* out_count);
-
   Status InsertInlink(MachineId src, CellId node, CellId from);
 
   cloud::MemoryCloud* cloud_;

@@ -22,6 +22,14 @@ constexpr std::uint64_t kTrunkImageMagic = 0x54524e4b494d4732ull;  // TRNKIMG2
 /// recovery reloads) sharing one TFS namespace.
 std::atomic<std::uint64_t> cold_tier_instances{0};
 
+/// The full check for stored bytes this trunk did not encode itself (trunk
+/// images, cold pages). Raw bytes are any payload; compressed ones must
+/// decode.
+Status ValidateStored(CellFormat format, Slice stored) {
+  if (format == CellFormat::kRaw) return Status::OK();
+  return CellCodec::ValidateAdjacency(stored);
+}
+
 }  // namespace
 
 MemoryTrunk::MemoryTrunk(const Options& options) : options_(options) {}
@@ -54,8 +62,8 @@ Status MemoryTrunk::Init() {
   base_ = static_cast<char*>(mem);
   committed_pages_.assign(capacity_ / page_size_, false);
   locks_ = std::make_unique<SpinLock[]>(kLockStripes);
-  ref_bits_ = std::make_unique<std::atomic<std::uint8_t>[]>(kRefStripes);
   if (options_.memory_budget > 0) {
+    ref_bits_ = std::make_unique<std::atomic<std::uint8_t>[]>(kRefStripes);
     ColdTier::Options cold;
     cold.tfs = options_.cold_tfs;
     cold.prefix =
@@ -252,16 +260,21 @@ Status MemoryTrunk::InstallStoredLocked(CellId id, CellFormat format,
 }
 
 Status MemoryTrunk::FaultInLocked(CellId id) {
-  // Make room first: the faulting cell is not resident, so it cannot be
-  // chosen as a victim. This keeps read-only fault storms (e.g. PageRank
-  // sweeping a 4× graph) from overrunning the ring.
-  MaybeEnforceBudgetLocked();
   std::string stored;
   ColdTier::CellMeta meta;
   Status s = cold_tier_->ReadCell(id, &stored, &meta);
   if (!s.ok()) return s;
-  s = InstallStoredLocked(id, static_cast<CellFormat>(meta.format),
-                          Slice(stored));
+  // Page bytes come back from storage: check them before they enter the
+  // ring, where node visits trust them. A bad record leaves the trunk as it
+  // was and keeps the cold mapping.
+  const auto format = static_cast<CellFormat>(meta.format);
+  s = ValidateStored(format, Slice(stored));
+  if (!s.ok()) return s;
+  // Make room before installing: the faulting cell is not resident, so it
+  // cannot be chosen as a victim. This keeps read-only fault storms (e.g.
+  // PageRank sweeping a 4× graph) from overrunning the ring.
+  MaybeEnforceBudgetLocked();
+  s = InstallStoredLocked(id, format, Slice(stored));
   if (!s.ok()) return s;  // Mapping still in the cold tier: nothing lost.
   ++stats_.cells_faulted;
   TouchRefBit(id);  // A fresh fault-in deserves its second chance.
@@ -380,13 +393,14 @@ Status MemoryTrunk::ReadPayloadLocked(std::uint64_t logical,
   return CellCodec::DecodeAdjacency(StoredAt(logical), out);
 }
 
-Status MemoryTrunk::GetCell(CellId id, std::string* out) const {
+template <typename Fn>
+Status MemoryTrunk::ReadResident(CellId id, const Fn& fn) const {
   {
     auto lock = ReadLock();
     const std::uint64_t offset = index_.Find(id);
     if (offset != TrunkIndex::kNoOffset) {
       TouchRefBit(id);
-      return ReadPayloadLocked(offset, out);
+      return fn(offset);
     }
     if (cold_tier_ == nullptr || !cold_tier_->Contains(id)) {
       return Status::NotFound("no such cell");
@@ -406,7 +420,13 @@ Status MemoryTrunk::GetCell(CellId id, std::string* out) const {
     offset = index_.Find(id);
   }
   TouchRefBit(id);
-  return ReadPayloadLocked(offset, out);
+  return fn(offset);
+}
+
+Status MemoryTrunk::GetCell(CellId id, std::string* out) const {
+  return ReadResident(id, [&](std::uint64_t offset) {
+    return ReadPayloadLocked(offset, out);
+  });
 }
 
 bool MemoryTrunk::Contains(CellId id) const {
@@ -634,30 +654,24 @@ Status MemoryTrunk::PinLocked(CellId id, std::uint64_t offset,
 }
 
 Status MemoryTrunk::Access(CellId id, ConstAccessor* accessor) const {
-  {
-    auto lock = ReadLock();
-    const std::uint64_t offset = index_.Find(id);
-    if (offset != TrunkIndex::kNoOffset) {
-      TouchRefBit(id);
-      return PinLocked(id, offset, accessor);
+  return ReadResident(id, [&](std::uint64_t offset) {
+    return PinLocked(id, offset, accessor);
+  });
+}
+
+Status MemoryTrunk::AccessNode(CellId id, NodeParts parts,
+                               std::vector<CellId>* scratch,
+                               ConstAccessor* accessor,
+                               NodeView* view) const {
+  return ReadResident(id, [&](std::uint64_t offset) {
+    if (FormatOf(HeaderAt(offset)) == CellFormat::kAdjDelta) {
+      accessor->Release();
+      return CellCodec::DecodeNode(StoredAt(offset), parts, scratch, view);
     }
-    if (cold_tier_ == nullptr || !cold_tier_->Contains(id)) {
-      return Status::NotFound("no such cell");
-    }
-  }
-  auto* self = const_cast<MemoryTrunk*>(this);
-  auto lock = self->WriteLock();
-  std::uint64_t offset = index_.Find(id);
-  if (offset == TrunkIndex::kNoOffset) {
-    if (cold_tier_ == nullptr || !cold_tier_->Contains(id)) {
-      return Status::NotFound("no such cell");
-    }
-    Status s = self->FaultInLocked(id);
+    Status s = PinLocked(id, offset, accessor);
     if (!s.ok()) return s;
-    offset = index_.Find(id);
-  }
-  TouchRefBit(id);
-  return PinLocked(id, offset, accessor);
+    return CellCodec::ViewRawNode(accessor->data(), parts, scratch, view);
+  });
 }
 
 std::uint64_t MemoryTrunk::Defragment() {
@@ -943,6 +957,8 @@ Status MemoryTrunk::Deserialize(Slice data, const Options& options,
         format > static_cast<std::uint8_t>(CellFormat::kAdjDelta)) {
       return Status::Corruption("trunk image entry");
     }
+    s = ValidateStored(static_cast<CellFormat>(format), stored);
+    if (!s.ok()) return s;
     auto lock = trunk->WriteLock();
     if (trunk->index_.Find(id) != TrunkIndex::kNoOffset) {
       return Status::Corruption("trunk image duplicate cell");

@@ -70,7 +70,10 @@ inline void NoteStripeReleased(const void* stripe) {
 /// Memory hierarchy (docs/memory_hierarchy.md): each live entry carries a
 /// CellFormat tag in the spare top bits of its header's capacity field.
 /// With Options::compress_adjacency set, node cells are stored delta-varint
-/// encoded (CellCodec) and decoded transparently on read. With a
+/// encoded (CellCodec) and decoded transparently on read; node visits
+/// (AccessNode) decode only the parts they read. Compressed bytes this
+/// trunk did not encode (Deserialize images, cold-page fault-ins) are
+/// validated where they are installed, so reads can trust them. With a
 /// memory_budget plus a cold TFS configured, the defragment pass doubles as
 /// the clock eviction pass: cold cells (second-chance ref bits cleared) are
 /// spilled to ColdTier pages, and any access to a spilled cell faults it
@@ -244,6 +247,17 @@ class MemoryTrunk {
 
   Status Access(CellId id, ConstAccessor* accessor) const;
 
+  /// Node visit: points *view at the `parts` of node cell `id`. A raw cell
+  /// is pinned zero-copy in `accessor` exactly as by Access (its ids are
+  /// copied into `scratch` only when misaligned). A compressed cell is
+  /// decoded under the shared lock into `scratch`, only the parts asked
+  /// for, and `accessor` is left empty, so the caller reads it with no lock
+  /// held. Compressed bytes were validated where they entered the trunk, so
+  /// a kData visit does not re-check the id lists. A spilled cell faults in
+  /// first. Corruption when the cell is not a node cell.
+  Status AccessNode(CellId id, NodeParts parts, std::vector<CellId>* scratch,
+                    ConstAccessor* accessor, NodeView* view) const;
+
   /// One full compaction pass (doubles as the eviction pass when over
   /// budget). Returns the number of bytes reclaimed.
   std::uint64_t Defragment();
@@ -341,13 +355,18 @@ class MemoryTrunk {
   }
   SpinLock& LockFor(CellId id) const;
 
-  /// Second-chance bit maintenance. Touch is called by the read paths under
-  /// the shared lock (relaxed store — clock accuracy is best-effort and
-  /// stripe collisions only make eviction more conservative); TestClear is
+  /// Second-chance bit maintenance, only with a cold tier (the bits exist
+  /// only then). Touch is called by the read paths under the shared lock:
+  /// it stores only when the bit is clear, so rereads of a hot cell leave
+  /// its cache line shared (relaxed — clock accuracy is best-effort and
+  /// stripe collisions only make eviction more conservative). TestClear is
   /// the clock hand, called under the exclusive lock.
   void TouchRefBit(CellId id) const {
-    ref_bits_[InTrunkHash(id) % kRefStripes].store(
-        1, std::memory_order_relaxed);
+    if (cold_tier_ == nullptr) return;
+    std::atomic<std::uint8_t>& bit = ref_bits_[InTrunkHash(id) % kRefStripes];
+    if (bit.load(std::memory_order_relaxed) == 0) {
+      bit.store(1, std::memory_order_relaxed);
+    }
   }
   bool TestClearRefBit(CellId id) {
     return ref_bits_[InTrunkHash(id) % kRefStripes].exchange(
@@ -397,6 +416,12 @@ class MemoryTrunk {
   Status PinLocked(CellId id, std::uint64_t offset,
                    ConstAccessor* accessor) const;
 
+  /// The read paths' shared skeleton: runs fn(offset) on cell `id` under
+  /// the shared lock, or, for a spilled cell, faults it in under the
+  /// exclusive lock and runs fn there. Touches the cell's ref bit.
+  template <typename Fn>
+  Status ReadResident(CellId id, const Fn& fn) const;
+
   /// Installs a cell in its already-stored form (fault-in, image v2 load).
   /// Caller holds mu_ exclusively; id must not be resident.
   Status InstallStoredLocked(CellId id, CellFormat format, Slice stored);
@@ -429,6 +454,7 @@ class MemoryTrunk {
   mutable Stats stats_;
   mutable std::unique_ptr<SpinLock[]> locks_;
   std::unique_ptr<ColdTier> cold_tier_;  ///< Null when fully resident.
+  /// Null when fully resident (no cold tier, no clock).
   mutable std::unique_ptr<std::atomic<std::uint8_t>[]> ref_bits_;
   // Lock-contention counters live outside stats_ so the read path can bump
   // them without exclusive ownership; stats() folds them into the snapshot.

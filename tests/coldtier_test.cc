@@ -277,6 +277,25 @@ TEST(CompressedTrunkTest, SerializeRoundTripsFormats) {
   EXPECT_EQ(out, "plain raw payload");
 }
 
+// Image bytes come from outside the process, so a compressed cell whose
+// body does not decode fails the load instead of a later read. A raw cell
+// retagged as compressed (format byte flipped 0 -> 1) is the smallest case.
+TEST(CompressedTrunkTest, DeserializeRejectsUndecodableCompressedCell) {
+  auto trunk = NewTrunk(CompressedTrunk());
+  ASSERT_TRUE(trunk->AddCell(7, Slice("hello world")).ok());
+  std::string image;
+  ASSERT_TRUE(trunk->Serialize(&image).ok());
+  std::unique_ptr<MemoryTrunk> copy;
+  ASSERT_TRUE(
+      MemoryTrunk::Deserialize(Slice(image), CompressedTrunk(), &copy).ok());
+  // magic u64, version u32, count u64, id u64, then the format byte.
+  constexpr std::size_t kFormatByte = 8 + 4 + 8 + 8;
+  ASSERT_EQ(image[kFormatByte], 0);
+  image[kFormatByte] = 1;
+  EXPECT_TRUE(MemoryTrunk::Deserialize(Slice(image), CompressedTrunk(), &copy)
+                  .IsCorruption());
+}
+
 // Acceptance: on a power-law graph, compressed adjacency cuts resident
 // bytes by >= 30% while every read stays bit-identical to the raw config.
 TEST(CompressedTrunkTest, PowerLawFootprintShrinksThirtyPercent) {
@@ -504,6 +523,85 @@ TEST(ColdTierTest, SerializedImageIsSelfContained) {
     std::string out;
     ASSERT_TRUE(copy->GetCell(id, &out).ok()) << "cell " << id;
     ASSERT_EQ(out, Payload(id));
+  }
+}
+
+// Overwrites every record body of a cold page with 0xff bytes and keeps
+// the page framing, so the page still parses but no compressed body decodes.
+std::string CorruptRecordBodies(std::string page) {
+  std::uint32_t count = 0;
+  std::memcpy(&count, page.data() + 4, 4);  // After the page magic.
+  std::size_t pos = 8;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    pos += 8 + 1 + 4;  // id, format, raw size.
+    std::uint32_t len = 0;
+    std::memcpy(&len, page.data() + pos, 4);
+    pos += 4;
+    std::memset(&page[pos], 0xff, len);
+    pos += len;
+  }
+  EXPECT_EQ(pos, page.size());
+  return page;
+}
+
+// Page bytes come back from storage: a compressed record that does not
+// decode fails its fault-in with Corruption before it enters the ring. The
+// trunk stays as it was and the cold mapping is kept, so the cell faults in
+// once the page is good again.
+TEST(ColdTierTest, CorruptPageRecordFailsFaultInAndKeepsMapping) {
+  auto tfs = NewTfs("corrupt");
+  auto options = BudgetedTrunk(tfs.get(), 8 << 10);
+  options.compress_adjacency = true;
+  auto trunk = NewTrunk(options);
+  std::vector<std::string> raws;
+  for (CellId id = 0; id < 200; ++id) {
+    std::vector<CellId> out;
+    for (CellId k = 0; k < 64; ++k) out.push_back(id + k * 3);
+    raws.push_back(SortedNode({}, out));
+    ASSERT_TRUE(trunk->AddCell(id, Slice(raws.back())).ok());
+  }
+  const MemoryTrunk::Stats before = trunk->stats();
+  ASSERT_GT(before.spilled_cells, 0u);
+  ASSERT_EQ(before.spilled_cells + before.compressed_cells, 200u);
+  std::map<std::string, std::string> pages;
+  for (const std::string& path : tfs->List("")) {
+    ASSERT_TRUE(tfs->ReadFile(path, &pages[path]).ok());
+    ASSERT_TRUE(
+        tfs->WriteFile(path, Slice(CorruptRecordBodies(pages[path]))).ok());
+  }
+  ASSERT_FALSE(pages.empty());
+
+  std::uint64_t failed = 0;
+  for (CellId id = 0; id < 200; ++id) {
+    std::string out;
+    const Status s = trunk->GetCell(id, &out);
+    if (s.ok()) {
+      EXPECT_EQ(out, raws[id]) << "resident cell " << id;
+      continue;
+    }
+    EXPECT_TRUE(s.IsCorruption()) << "cell " << id << ": " << s.ToString();
+    MemoryTrunk::ConstAccessor accessor;
+    EXPECT_TRUE(trunk->Access(id, &accessor).IsCorruption()) << "cell " << id;
+    EXPECT_TRUE(trunk->Contains(id)) << "cell " << id;
+    ++failed;
+  }
+  EXPECT_EQ(failed, before.spilled_cells);
+  const MemoryTrunk::Stats after = trunk->stats();
+  EXPECT_EQ(after.live_cells, before.live_cells);
+  EXPECT_EQ(after.spilled_cells, before.spilled_cells);
+  EXPECT_EQ(after.spilled_bytes, before.spilled_bytes);
+  EXPECT_EQ(after.compressed_cells, before.compressed_cells);
+  EXPECT_EQ(after.used_bytes, before.used_bytes);
+  EXPECT_EQ(after.cells_faulted, before.cells_faulted);
+  EXPECT_EQ(after.cells_evicted, before.cells_evicted);
+
+  for (const auto& [path, page] : pages) {
+    ASSERT_TRUE(tfs->WriteFile(path, Slice(page)).ok());
+  }
+  for (CellId id = 0; id < 200; ++id) {
+    std::string out;
+    ASSERT_TRUE(trunk->GetCell(id, &out).ok()) << "cell " << id;
+    ASSERT_EQ(out, raws[id]) << "cell " << id;
   }
 }
 

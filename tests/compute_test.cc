@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <queue>
 #include <set>
 
@@ -491,6 +492,64 @@ TEST(TraversalTest, ParallelBfsMatchesSequential) {
     return distances;
   };
   EXPECT_EQ(run(1), run(8));
+}
+
+// On compressed adjacency every worker decodes the cells it visits into its
+// own per-thread scratch, the last hop reading names only. Multithreaded
+// BFS and k-hop answers (vertex, depth and name) equal the single-threaded
+// ones, which equal those of the same graph stored raw.
+TEST(TraversalTest, ParallelTraversalsOnCompressedGraphMatchSequential) {
+  struct Answer {
+    std::unordered_map<CellId, std::uint32_t> distances;
+    std::map<CellId, std::pair<int, std::string>> reached;
+    std::uint64_t visited = 0;
+  };
+  auto run = [](int num_threads, bool compress) {
+    Fixture f;
+    cloud::MemoryCloud::Options options;
+    options.num_slaves = 8;
+    options.p_bits = 4;
+    options.storage.trunk.capacity = 4 << 20;
+    options.storage.trunk.compress_adjacency = compress;
+    EXPECT_TRUE(cloud::MemoryCloud::Create(options, &f.cloud).ok());
+    f.graph = std::make_unique<graph::Graph>(f.cloud.get());
+    const auto edges = graph::Generators::Rmat(512, 6.0, 77);
+    EXPECT_TRUE(graph::Generators::Load(f.graph.get(), edges,
+                                        /*with_names=*/true, 5,
+                                        /*sort_adjacency=*/true)
+                    .ok());
+    EXPECT_EQ(f.cloud->AggregateTrunkStats().compressed_cells > 0, compress);
+    TraversalEngine::Options engine_options;
+    engine_options.num_threads = num_threads;
+    TraversalEngine engine(f.graph.get(), engine_options);
+    Answer answer;
+    TraversalEngine::QueryStats stats;
+    EXPECT_TRUE(engine.Bfs(0, &answer.distances, &stats).ok());
+    std::mutex mu;
+    for (const CellId start : {0, 7, 100, 311}) {
+      EXPECT_TRUE(engine
+                      .KHopExplore(
+                          start, 3,
+                          [&](CellId v, int depth, Slice data) {
+                            std::lock_guard<std::mutex> guard(mu);
+                            answer.reached[v ^ (start << 32)] = {
+                                depth, data.ToString()};
+                            return true;
+                          },
+                          &stats)
+                      .ok());
+      answer.visited += stats.visited;
+    }
+    return answer;
+  };
+  const Answer raw = run(1, false);
+  ASSERT_GT(raw.reached.size(), 4u);
+  for (const int threads : {1, 8}) {
+    const Answer compressed = run(threads, true);
+    EXPECT_EQ(compressed.distances, raw.distances) << threads << " threads";
+    EXPECT_EQ(compressed.reached, raw.reached) << threads << " threads";
+    EXPECT_EQ(compressed.visited, raw.visited) << threads << " threads";
+  }
 }
 
 TEST(AsyncEngineTest, ParallelSweepsMatchSequential) {

@@ -406,6 +406,128 @@ Mutants Mutate(Random& rng, const std::string& image,
   return m;
 }
 
+// ------------------------------------------------ Node decoder fuzz
+
+class NodeDecoderFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// A random node cell: mostly sorted lists (so the codec usually accepts
+// it) with occasional inversions, duplicates and huge gaps, a payload whose
+// length shifts the raw id arrays off alignment about 7 times in 8, and now
+// and then a hub.
+graph::NodeImage RandomNode(Random& rng) {
+  graph::NodeImage node;
+  node.data.resize(rng.Uniform(32));
+  for (char& c : node.data) c = static_cast<char>(rng.Uniform(256));
+  const std::uint64_t max_degree = rng.Bernoulli(0.05) ? 600 : 40;
+  for (std::vector<CellId>* list : {&node.in, &node.out}) {
+    CellId prev = 0;
+    for (std::uint64_t k = rng.Uniform(max_degree); k > 0; --k) {
+      prev = rng.Bernoulli(0.02) ? rng.Next() : prev + rng.Uniform(1u << 12);
+      list->push_back(prev);
+    }
+  }
+  return node;
+}
+
+// A node view must equal the full decode with the parts not asked for
+// emptied.
+void ExpectView(const storage::NodeView& view, const graph::NodeImage& node,
+                storage::NodeParts parts) {
+  EXPECT_EQ(view.data.ToString(), node.data);
+  EXPECT_EQ(std::vector<CellId>(view.in, view.in + view.in_count),
+            parts == storage::NodeParts::kAll ? node.in
+                                              : std::vector<CellId>());
+  EXPECT_EQ(std::vector<CellId>(view.out, view.out + view.out_count),
+            parts == storage::NodeParts::kData ? std::vector<CellId>()
+                                               : node.out);
+}
+
+constexpr storage::NodeParts kAllPartSelections[] = {
+    storage::NodeParts::kData, storage::NodeParts::kDataOut,
+    storage::NodeParts::kAll};
+
+// Compressed cells and their mutants, each from an exact-size heap copy so
+// ASan sees any read outside the slice. ValidateAdjacency accepts exactly
+// what DecodeAdjacency accepts; on those inputs every part selection of
+// DecodeNode equals Graph::DecodeNode of the decoded bytes. Selections that
+// read the lists reject exactly the same inputs; a data-only read may
+// accept bytes whose lists are bad, which validation at install catches.
+TEST_P(NodeDecoderFuzzTest, PartsMatchTheFullDecodeAndStayInBounds) {
+  Random rng(GetParam());
+  std::vector<CellId> scratch;  // Reused across inputs, as per thread.
+  int compressed = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    const std::string raw = graph::Graph::EncodeNode(RandomNode(rng));
+    std::string encoded;
+    if (!storage::CellCodec::EncodeAdjacency(Slice(raw), &encoded)) continue;
+    ++compressed;
+    const std::string& enc = encoded;
+    const Mutants m = Mutate(rng, enc, 96);
+    for (const std::string* input : {&enc, &m.cut, &m.flipped, &m.garbage}) {
+      const std::vector<char> copy(input->begin(), input->end());
+      const Slice bytes(copy.data(), copy.size());
+      std::string decoded;
+      const bool valid =
+          storage::CellCodec::DecodeAdjacency(bytes, &decoded).ok();
+      ASSERT_EQ(storage::CellCodec::ValidateAdjacency(bytes).ok(), valid);
+      if (input == &enc) {
+        ASSERT_TRUE(valid);
+      }
+      graph::NodeImage full;
+      if (valid) {
+        ASSERT_TRUE(graph::Graph::DecodeNode(0, Slice(decoded), &full).ok());
+      }
+      for (const storage::NodeParts parts : kAllPartSelections) {
+        storage::NodeView view;
+        const Status s =
+            storage::CellCodec::DecodeNode(bytes, parts, &scratch, &view);
+        if (parts != storage::NodeParts::kData) {
+          ASSERT_EQ(s.ok(), valid) << s.ToString();
+        }
+        if (!valid) continue;
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        ExpectView(view, full, parts);
+      }
+    }
+  }
+  EXPECT_GT(compressed, 500);
+}
+
+// Raw node cells and their mutants: Graph::DecodeNode never reads outside
+// the slice, and a cell it accepts re-encodes to the same bytes. The
+// in-place raw view accepts the same cells and, aligned or not, shows the
+// same parts.
+TEST_P(NodeDecoderFuzzTest, RawNodesDecodeAndViewAlike) {
+  Random rng(GetParam());
+  std::vector<CellId> scratch;
+  for (int iter = 0; iter < 1500; ++iter) {
+    const std::string raw = graph::Graph::EncodeNode(RandomNode(rng));
+    const Mutants m = Mutate(rng, raw, 96);
+    for (const std::string* input : {&raw, &m.cut, &m.flipped, &m.garbage}) {
+      const std::vector<char> copy(input->begin(), input->end());
+      const Slice bytes(copy.data(), copy.size());
+      graph::NodeImage node;
+      const bool ok = graph::Graph::DecodeNode(0, bytes, &node).ok();
+      if (input == &raw) {
+        ASSERT_TRUE(ok);
+      }
+      if (ok) {
+        ASSERT_EQ(graph::Graph::EncodeNode(node), *input);
+      }
+      for (const storage::NodeParts parts : kAllPartSelections) {
+        storage::NodeView view;
+        const Status s =
+            storage::CellCodec::ViewRawNode(bytes, parts, &scratch, &view);
+        ASSERT_EQ(s.ok(), ok);
+        if (ok) ExpectView(view, node, parts);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NodeDecoderFuzzTest,
+                         ::testing::Values(9, 99, 999));
+
 // ------------------------------------------------ Packed record fuzz
 
 class PackedRecordFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -622,8 +744,7 @@ Status DecodeTrunk(const std::string& bytes,
                                            options, out);
 }
 
-// Every live cell of a trunk by id: its payload, or the read's error for a
-// cell whose stored form does not decode (a mutated kAdjDelta body).
+// Every live cell of a trunk by id: its payload, or the read's error.
 std::map<CellId, std::string> CellsOf(const storage::MemoryTrunk& trunk) {
   std::map<CellId, std::string> cells;
   for (CellId id : trunk.CellIds()) {
@@ -638,7 +759,9 @@ std::map<CellId, std::string> CellsOf(const storage::MemoryTrunk& trunk) {
 // hand-built version-1 images (count, then raw id/payload records), with
 // and without adjacency compression on either side. A strict prefix of an
 // image is rejected; a bit-flipped or garbage image is rejected or decodes
-// to a trunk whose own image decodes back to the same cells.
+// to a trunk that serves every cell (a compressed body that does not
+// decode fails the load) and whose own image decodes back to the same
+// cells.
 TEST_P(TrunkImageFuzzTest, RoundTripsAndNeverCrashesOnGarbage) {
   Random rng(GetParam());
   for (int iter = 0; iter < 300; ++iter) {
@@ -698,6 +821,10 @@ TEST_P(TrunkImageFuzzTest, RoundTripsAndNeverCrashesOnGarbage) {
               m.cut == image);
     for (const std::string* input : {&m.flipped, &m.garbage}) {
       if (!DecodeTrunk(*input, decode_options, &decoded).ok()) continue;
+      for (const CellId id : decoded->CellIds()) {
+        std::string payload;
+        ASSERT_TRUE(decoded->GetCell(id, &payload).ok()) << "cell " << id;
+      }
       const std::map<CellId, std::string> got = CellsOf(*decoded);
       ASSERT_TRUE(decoded->Serialize(&again).ok());
       ASSERT_TRUE(DecodeTrunk(again, decode_options, &decoded).ok());

@@ -3,18 +3,48 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 #include <set>
 
 #include "graph/generators.h"
 
+namespace {
+// Heap allocations made by this thread while `counting_allocations` is set
+// (the replaced global operator new below counts them).
+thread_local bool counting_allocations = false;
+thread_local std::size_t allocations = 0;
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined `new` with the
+// `free` below.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (counting_allocations) ++allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace trinity::graph {
 namespace {
 
-std::unique_ptr<cloud::MemoryCloud> NewCloud(int slaves = 4) {
+std::unique_ptr<cloud::MemoryCloud> NewCloud(int slaves = 4,
+                                             bool compress = false) {
   cloud::MemoryCloud::Options options;
   options.num_slaves = slaves;
   options.p_bits = 4;
   options.storage.trunk.capacity = 4 << 20;
+  options.storage.trunk.compress_adjacency = compress;
   std::unique_ptr<cloud::MemoryCloud> cloud;
   EXPECT_TRUE(cloud::MemoryCloud::Create(options, &cloud).ok());
   return cloud;
@@ -145,6 +175,154 @@ TEST(GraphTest, VisitLocalNodeZeroCopy) {
                                                 std::size_t, const CellId*,
                                                 std::size_t) {})
                   .IsNotFound());
+}
+
+// Nodes covering the node decoder's corners, all with sorted lists so they
+// compress: a payload that shifts the raw id arrays off 8-byte alignment,
+// an aligned one, empty lists, an empty payload and a hub.
+std::vector<NodeImage> CornerNodes() {
+  std::vector<NodeImage> nodes(6);
+  nodes[0] = {1, "abc", {2, 3, 4, 9}, {5}};  // 9 is not a node.
+  nodes[1] = {2, "12345678", {}, {1}};
+  nodes[2] = {3, "", {}, {}};
+  nodes[3] = {4, "hub", {}, {}};
+  for (CellId v = 0; v < 1500; ++v) nodes[3].out.push_back(1000 + 7 * v);
+  for (CellId v = 0; v < 2000; ++v) nodes[3].in.push_back(5000 + v);
+  nodes[4] = {5, "x", {1}, {}};
+  nodes[5] = {6, "", {1, 1, 2}, {3}};  // Parallel edges.
+  return nodes;
+}
+
+struct Visited {
+  std::string data;
+  std::vector<CellId> in;
+  std::vector<CellId> out;
+  bool operator==(const Visited& o) const {
+    return data == o.data && in == o.in && out == o.out;
+  }
+};
+
+Visited Visit(const Graph& graph, CellId id, NodeParts parts) {
+  Visited v;
+  EXPECT_TRUE(graph
+                  .VisitLocalNode(
+                      graph.MachineOfNode(id), id,
+                      [&](Slice data, const CellId* in, std::size_t in_count,
+                          const CellId* out, std::size_t out_count) {
+                        v.data = data.ToString();
+                        v.in.assign(in, in + in_count);
+                        v.out.assign(out, out + out_count);
+                      },
+                      parts)
+                  .ok());
+  return v;
+}
+
+TEST(GraphTest, RawAndCompressedVisitsAgreeForEveryPartSelection) {
+  auto raw_cloud = NewCloud();
+  auto comp_cloud = NewCloud(4, /*compress=*/true);
+  Graph raw(raw_cloud.get());
+  Graph comp(comp_cloud.get());
+  const std::vector<NodeImage> nodes = CornerNodes();
+  for (const NodeImage& node : nodes) {
+    ASSERT_TRUE(raw.BulkAddNode(raw_cloud->client_id(), node).ok());
+    ASSERT_TRUE(comp.BulkAddNode(comp_cloud->client_id(), node).ok());
+  }
+  EXPECT_EQ(raw_cloud->AggregateTrunkStats().compressed_cells, 0u);
+  EXPECT_EQ(comp_cloud->AggregateTrunkStats().compressed_cells,
+            nodes.size());
+  for (const NodeImage& node : nodes) {
+    for (const NodeParts parts :
+         {NodeParts::kData, NodeParts::kDataOut, NodeParts::kAll}) {
+      SCOPED_TRACE("node " + std::to_string(node.id) + " parts " +
+                   std::to_string(static_cast<int>(parts)));
+      Visited want;
+      want.data = node.data;
+      if (parts != NodeParts::kData) want.out = node.out;
+      if (parts == NodeParts::kAll) want.in = node.in;
+      EXPECT_EQ(Visit(raw, node.id, parts), want);
+      EXPECT_EQ(Visit(comp, node.id, parts), want);
+    }
+  }
+}
+
+TEST(GraphTest, VisitorMayVisitOtherCompressedNodes) {
+  auto cloud = NewCloud(1, /*compress=*/true);
+  Graph graph(cloud.get());
+  const std::vector<NodeImage> nodes = CornerNodes();
+  for (const NodeImage& node : nodes) {
+    ASSERT_TRUE(graph.BulkAddNode(cloud->client_id(), node).ok());
+  }
+  // Node 1's neighbors include the hub, whose lists outgrow any scratch the
+  // outer visit holds: the inner visits must not touch the outer's view.
+  const NodeImage& outer = nodes[0];
+  std::vector<std::string> inner_names;
+  ASSERT_TRUE(
+      graph
+          .VisitLocalNode(
+              0, outer.id,
+              [&](Slice data, const CellId* in, std::size_t in_count,
+                  const CellId* out, std::size_t out_count) {
+                for (std::size_t i = 0; i < in_count + out_count; ++i) {
+                  const CellId next = i < in_count ? in[i] : out[i - in_count];
+                  const Status s = graph.VisitLocalNode(
+                      0, next,
+                      [&](Slice inner, const CellId*, std::size_t inner_in,
+                          const CellId*, std::size_t inner_out) {
+                        inner_names.push_back(inner.ToString() + "/" +
+                                              std::to_string(inner_in) + "/" +
+                                              std::to_string(inner_out));
+                      });
+                  ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+                }
+                EXPECT_EQ(data.ToString(), outer.data);
+                EXPECT_EQ(std::vector<CellId>(in, in + in_count), outer.in);
+                EXPECT_EQ(std::vector<CellId>(out, out + out_count),
+                          outer.out);
+              })
+          .ok());
+  EXPECT_EQ(inner_names,
+            (std::vector<std::string>{"x/0/1", "12345678/1/0", "/0/0",
+                                      "hub/2000/1500"}));
+}
+
+TEST(GraphTest, NodeVisitsDoNotAllocateInSteadyState) {
+  for (const bool compress : {false, true}) {
+    SCOPED_TRACE(compress ? "compressed" : "raw");
+    auto cloud = NewCloud(4, compress);
+    Graph graph(cloud.get());
+    const std::vector<NodeImage> nodes = CornerNodes();
+    for (const NodeImage& node : nodes) {
+      ASSERT_TRUE(graph.BulkAddNode(cloud->client_id(), node).ok());
+    }
+    std::uint64_t sum = 0;
+    const Graph::LocalVisitor visitor =
+        [&sum](Slice data, const CellId* in, std::size_t in_count,
+               const CellId* out, std::size_t out_count) {
+          sum += data.size() + in_count + out_count;
+          for (std::size_t i = 0; i < in_count; ++i) sum += in[i];
+          for (std::size_t i = 0; i < out_count; ++i) sum += out[i];
+        };
+    auto visit_all = [&] {
+      for (const NodeImage& node : nodes) {
+        for (const NodeParts parts :
+             {NodeParts::kData, NodeParts::kDataOut, NodeParts::kAll}) {
+          ASSERT_TRUE(graph
+                          .VisitLocalNode(graph.MachineOfNode(node.id),
+                                          node.id, visitor, parts)
+                          .ok());
+        }
+      }
+    };
+    visit_all();  // Grows this thread's scratch to the hub.
+    const std::uint64_t warm_sum = sum;
+    allocations = 0;
+    counting_allocations = true;
+    visit_all();
+    counting_allocations = false;
+    EXPECT_EQ(allocations, 0u);
+    EXPECT_EQ(sum, 2 * warm_sum);
+  }
 }
 
 TEST(GraphTest, LocalNodesPartitionWholeGraph) {
