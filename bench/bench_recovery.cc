@@ -84,6 +84,7 @@ void Run(bench::JsonEmitter* json) {
         std::string out;
         TRINITY_CHECK(cloud->GetCell(id, &out).ok(), "post-recovery read");
       }
+      TRINITY_CHECK(cloud->Audit().ok(), "post-recovery audit");
 
       const std::uint64_t tfs_reads =
           tfs_after.files_read - tfs_before.files_read;

@@ -227,6 +227,7 @@ void RunServing(bench::JsonEmitter* json) {
   EmitPhase(json, "degraded", degraded, before, after);
 
   cloud->DetectAndRecover();
+  TRINITY_CHECK(cloud->Audit().ok(), "post-recovery audit");
   before = after;
   PhaseResult recovered = RunPhase(&frontend);
   after = frontend.stats();

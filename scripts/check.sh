@@ -26,7 +26,7 @@ if [[ "${1:-}" == "--chaos-sweep" ]]; then
   for ((i = 0; i < SWEEP; ++i)); do
     echo "=== chaos sweep $((i + 1))/${SWEEP}: TRINITY_CHAOS_SEED_OFFSET=$((i * 1000)) ==="
     ASAN_OPTIONS=detect_leaks=0 TRINITY_CHAOS_SEED_OFFSET=$((i * 1000)) \
-      ctest --output-on-failure -j "$(nproc)" -L 'chaos|serving|txn|coldtier'
+      ctest --output-on-failure -j "$(nproc)" -L 'chaos|serving|txn|coldtier|cloud'
   done
   exit 0
 fi
@@ -44,14 +44,15 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # commits (intent CAS races, wound-abort decision races, the shared
   # timestamp oracle) across worker threads; the coldtier label adds the
   # memory-hierarchy suite (readers racing fault-ins and clock eviction on
-  # budgeted trunks).
+  # budgeted trunks); the cloud label adds the memory-cloud and replication
+  # suites, whose failover paths all take the one reconfiguration entry.
   cmake --preset tsan
   cmake --build --preset tsan -j "$(nproc)"
   # libstdc++'s std::atomic<std::shared_ptr> spin-lock protocol is not
   # tsan-annotated; suppress the library internals (see scripts/tsan.supp).
   export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
   cd build-tsan
-  ctest --output-on-failure -j "$(nproc)" -L 'compute|chaos|storage|serving|analytics|txn|coldtier'
+  ctest --output-on-failure -j "$(nproc)" -L 'compute|chaos|storage|serving|analytics|txn|coldtier|cloud'
   exit 0
 fi
 

@@ -146,9 +146,16 @@ Status ColdTier::ReadCell(CellId id, std::string* stored, CellMeta* meta) {
   if (!s.ok()) return s;
   if (!found) return Status::Corruption("cold tier: cell missing from page");
   if (meta != nullptr) *meta = it->second;
-  stats_.cells_faulted += 1;
-  stats_.bytes_faulted += stored->size();
   return Status::OK();
+}
+
+void ColdTier::FaultedIn(CellId id, std::size_t stored_bytes) {
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    stats_.cells_faulted += 1;
+    stats_.bytes_faulted += stored_bytes;
+  }
+  Drop(id);
 }
 
 void ColdTier::Drop(CellId id) {

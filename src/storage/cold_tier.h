@@ -35,10 +35,10 @@ namespace trinity::storage {
 ///     price of sequential rewrites never happening).
 ///
 /// Thread safety: all methods lock the internal mutex. The owning trunk
-/// calls the mutating methods (Spill/ReadCell/Drop) only from its exclusive
-/// side; Contains/Lookup are called under the shared read lock and take the
-/// `spilled_cells_ == 0` fast path without the mutex, so the resident read
-/// hot path stays lock-free with an empty cold tier.
+/// calls the mutating methods (Spill/ReadCell/FaultedIn/Drop) only from its
+/// exclusive side; Contains/Lookup are called under the shared read lock and
+/// take the `spilled_cells_ == 0` fast path without the mutex, so the
+/// resident read hot path stays lock-free with an empty cold tier.
 class ColdTier {
  public:
   struct Options {
@@ -88,8 +88,12 @@ class ColdTier {
   bool Lookup(CellId id, CellMeta* meta) const;
 
   /// Reads the page holding `id` (one sequential TFS read) and copies the
-  /// cell's stored bytes out. The mapping stays until Drop().
+  /// cell's stored bytes out. The mapping stays until FaultedIn() or Drop().
   Status ReadCell(CellId id, std::string* stored, CellMeta* meta);
+
+  /// Counts a ReadCell result the trunk validated and installed, then drops
+  /// its mapping. A record rejected at install counts nothing.
+  void FaultedIn(CellId id, std::size_t stored_bytes);
 
   /// Releases the mapping after re-admission, overwrite, or removal.
   /// Deletes the backing page once its last cell is dropped.

@@ -278,7 +278,7 @@ Status MemoryTrunk::FaultInLocked(CellId id) {
   if (!s.ok()) return s;  // Mapping still in the cold tier: nothing lost.
   ++stats_.cells_faulted;
   TouchRefBit(id);  // A fresh fault-in deserves its second chance.
-  cold_tier_->Drop(id);
+  cold_tier_->FaultedIn(id, stored.size());
   return Status::OK();
 }
 

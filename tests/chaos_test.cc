@@ -95,6 +95,8 @@ void HealCluster(ChaosCluster& c) {
       ASSERT_TRUE(c.cloud->RestartMachine(m).ok());
     }
   }
+  const Status audit = c.cloud->Audit();
+  ASSERT_TRUE(audit.ok()) << audit.ToString();
 }
 
 // Hot-standby variant: k in-memory replica trunks instead of buffered logs.
@@ -132,6 +134,8 @@ void HealReplicated(ChaosCluster& c) {
   }
   // Second sweep re-replicates onto the restarted machines.
   c.cloud->DetectAndRecover();
+  const Status audit = c.cloud->Audit();
+  ASSERT_TRUE(audit.ok()) << audit.ToString();
 }
 
 // ------------------------------------------------------------------- KV

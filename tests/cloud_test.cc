@@ -29,13 +29,6 @@ TEST(AddressingTableTest, MoveBumpsVersion) {
   EXPECT_GT(table.version(), v0);
 }
 
-TEST(AddressingTableTest, EvacuateSpreadsTrunks) {
-  AddressingTable table(4, 4);
-  table.EvacuateMachine(2, {0, 1, 3});
-  EXPECT_TRUE(table.trunks_of(2).empty());
-  EXPECT_GT(table.trunks_of(0).size(), 4u - 1);
-}
-
 TEST(AddressingTableTest, SerializeRoundTrip) {
   AddressingTable table(5, 4);
   table.MoveTrunk(7, 2);

@@ -594,6 +594,9 @@ TEST(ColdTierTest, CorruptPageRecordFailsFaultInAndKeepsMapping) {
   EXPECT_EQ(after.used_bytes, before.used_bytes);
   EXPECT_EQ(after.cells_faulted, before.cells_faulted);
   EXPECT_EQ(after.cells_evicted, before.cells_evicted);
+  // A rejected record was read but never installed: no fault-in bytes.
+  EXPECT_EQ(before.cold_bytes_read, 0u);
+  EXPECT_EQ(after.cold_bytes_read, 0u);
 
   for (const auto& [path, page] : pages) {
     ASSERT_TRUE(tfs->WriteFile(path, Slice(page)).ok());
@@ -603,6 +606,7 @@ TEST(ColdTierTest, CorruptPageRecordFailsFaultInAndKeepsMapping) {
     ASSERT_TRUE(trunk->GetCell(id, &out).ok()) << "cell " << id;
     ASSERT_EQ(out, raws[id]) << "cell " << id;
   }
+  EXPECT_GT(trunk->stats().cold_bytes_read, 0u);
 }
 
 // ------------------------------------------- Failure windows (abort safety)

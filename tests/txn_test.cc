@@ -95,6 +95,8 @@ void HealReplicated(ChaosCluster& c) {
     }
   }
   c.cloud->DetectAndRecover();
+  const Status audit = c.cloud->Audit();
+  ASSERT_TRUE(audit.ok()) << audit.ToString();
 }
 
 // --------------------------------------------------------- bank fixtures
