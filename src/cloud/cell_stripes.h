@@ -2,6 +2,7 @@
 #define TRINITY_CLOUD_CELL_STRIPES_H_
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "common/hash.h"
@@ -33,6 +34,14 @@ class CellStripes {
   static int StripeOf(CellId id) {
     return static_cast<int>(InTrunkHash(id ^ 0x517cc1b727220a95ULL) %
                             kStripes);
+  }
+
+  /// Every stripe in ascending order: a guard on them excludes every
+  /// single-cell mutation and guarded operation in the process.
+  static std::vector<int> All() {
+    std::vector<int> all(kStripes);
+    std::iota(all.begin(), all.end(), 0);
+    return all;
   }
 
   /// RAII multi-stripe acquisition. `stripes` must be sorted and unique

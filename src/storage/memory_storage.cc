@@ -56,11 +56,32 @@ Status MemoryStorage::AttachReplicaTrunk(TrunkId trunk_id) {
 
 Status MemoryStorage::AttachReplicaTrunk(TrunkId trunk_id,
                                          std::unique_ptr<MemoryTrunk> trunk) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (trunks_.count(trunk_id) != 0) {
-    return Status::AlreadyExists("machine is primary for this trunk");
+  MemoryTrunk* held = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (trunks_.count(trunk_id) != 0) {
+      return Status::AlreadyExists("machine is primary for this trunk");
+    }
+    auto [it, inserted] = replica_trunks_.try_emplace(trunk_id);
+    if (inserted) {
+      it->second = std::move(trunk);
+      return Status::OK();
+    }
+    held = it->second.get();
   }
-  replica_trunks_[trunk_id] = std::move(trunk);
+  // A held replica is overwritten cell by cell, never freed: a replica
+  // apply or degraded read may be inside it.
+  for (CellId id : held->CellIds()) {
+    if (trunk->Contains(id)) continue;
+    Status s = held->RemoveCell(id);
+    if (!s.ok() && !s.IsNotFound()) return s;
+  }
+  for (CellId id : trunk->CellIds()) {
+    std::string value;
+    Status s = trunk->GetCell(id, &value);
+    if (s.ok()) s = held->PutCell(id, Slice(value));
+    if (!s.ok()) return s;
+  }
   return Status::OK();
 }
 

@@ -62,12 +62,13 @@ class MemoryStorage {
   /// the replication handlers and, after promotion, through
   /// PromoteReplicaTrunk.
 
-  /// Creates an empty replica trunk. Unlike AttachTrunk this *replaces* any
-  /// existing replica image — re-replication may refresh an out-of-sync
-  /// copy.
+  /// Creates an empty replica trunk (see below).
   Status AttachReplicaTrunk(TrunkId trunk_id);
 
-  /// Installs a fully-built replica image (re-replication transfer).
+  /// Installs a fully-built replica image (re-replication transfer). Unlike
+  /// AttachTrunk this refreshes an existing replica: it is overwritten in
+  /// place to hold exactly the image's cells and stays the same object, so
+  /// a concurrent reader of it never sees it freed.
   Status AttachReplicaTrunk(TrunkId trunk_id,
                             std::unique_ptr<MemoryTrunk> trunk);
 
